@@ -199,8 +199,11 @@ class Gf2Matrix:
         return result
 
     def rank(self) -> int:
-        # Eliminate each row against a pivot per leading-bit position;
-        # bit_length is O(1) on ints, so the cost is pure row XORs.
+        # Pivot dictionary, as in inverse and right_kernel_basis: each row
+        # is XORed against the pivot stored for its current key bit until
+        # it is zero or claims a free key. Rank needs no canonical form, so
+        # the key is the leading bit (bit_length is O(1) on ints) and the
+        # cost is pure row XORs.
         pivots: dict[int, int] = {}
         limit = min(self.rows, self.cols)
         for word in self.bits:
@@ -217,27 +220,24 @@ class Gf2Matrix:
         return len(pivots)
 
     def inverse(self) -> Gf2Matrix:
-        """Two-sided inverse via Gauss-Jordan; raises Singular if none exists."""
+        """Two-sided inverse; raises Singular, naming a dependent row, if none exists.
+
+        Gauss-Jordan on [self | I] by the pivot-dictionary elimination that
+        rank and right_kernel_basis also use (see _rref), so the cost
+        follows the fill of the rows rather than rows x cols.
+        """
         if self.rows != self.cols:
             raise ValueError(f"inverse needs a square matrix, got {self.rows}x{self.cols}")
         n = self.rows
         # Augment each row with the matching identity row in the high bits.
-        aug = [self.bits[i] | (1 << (n + i)) for i in range(n)]
-        for c in range(n):
-            bit = 1 << c
-            piv = -1
-            for i in range(c, n):
-                if aug[i] & bit:
-                    piv = i
-                    break
-            if piv < 0:
-                raise Singular(f"{n}x{n} matrix has no pivot in column {c}")
-            aug[c], aug[piv] = aug[piv], aug[c]
-            prow = aug[c]
-            for i in range(n):
-                if i != c and aug[i] & bit:
-                    aug[i] ^= prow
-        return Gf2Matrix._raw(n, n, tuple(word >> n for word in aug))
+        pivots, dependent = _rref(
+            (word | (1 << (n + i)) for i, word in enumerate(self.bits)), n
+        )
+        if dependent >= 0:
+            raise Singular(
+                f"{n}x{n} matrix is singular: row {dependent} is a sum of earlier rows"
+            )
+        return Gf2Matrix._raw(n, n, tuple(pivots[c] >> n for c in range(n)))
 
     def inv_unit_lower_triangular(self) -> Gf2Matrix:
         """Inverse by forward substitution; input must be unit lower triangular."""
@@ -255,40 +255,30 @@ class Gf2Matrix:
         return Gf2Matrix._raw(self.rows, self.rows, tuple(inv))
 
     def right_kernel_basis(self) -> Gf2Matrix:
-        """A cols x k matrix whose columns span {v : self @ v = 0}, k = cols - rank."""
-        nr, nc = self.rows, self.cols
-        rows = list(self.bits)
-        pivot_cols: list[int] = []
-        r = 0
-        for c in range(nc):
-            bit = 1 << c
-            piv = -1
-            for i in range(r, nr):
-                if rows[i] & bit:
-                    piv = i
-                    break
-            if piv < 0:
-                continue
-            rows[r], rows[piv] = rows[piv], rows[r]
-            prow = rows[r]
-            for i in range(nr):
-                if i != r and rows[i] & bit:
-                    rows[i] ^= prow
-            pivot_cols.append(c)
-            r += 1
-            if r == nr:
-                break
-        pivot_set = set(pivot_cols)
-        free_cols = [c for c in range(nc) if c not in pivot_set]
-        out = [0] * nc
-        for idx, fc in enumerate(free_cols):
-            col_flag = 1 << idx
-            out[fc] |= col_flag
-            fbit = 1 << fc
-            for rr, pc in enumerate(pivot_cols):
-                if rows[rr] & fbit:
-                    out[pc] |= col_flag
-        return Gf2Matrix._raw(nc, len(free_cols), tuple(out))
+        """A cols x k matrix whose columns span {v : self @ v = 0}, k = cols - rank.
+
+        The basis is the canonical one read off the reduced row-echelon
+        form, computed by the pivot-dictionary elimination that rank and
+        inverse also use (see _rref). Pivot columns are the rows' lowest
+        set bits; there is one basis column per free column, in increasing
+        order, with a 1 in that free column and the RREF entries in the
+        pivot columns. The cost follows the fill of the rows, not
+        rows x cols.
+        """
+        nc = self.cols
+        pivots, _ = _rref(self.bits, nc)
+        free = [c for c in range(nc) if c not in pivots]
+        flag = {c: 1 << idx for idx, c in enumerate(free)}
+        out = [flag.get(c, 0) for c in range(nc)]
+        for pc, word in pivots.items():
+            rest = word ^ (1 << pc)
+            acc = 0
+            while rest:
+                low = rest & -rest
+                acc |= flag[low.bit_length() - 1]
+                rest ^= low
+            out[pc] = acc
+        return Gf2Matrix._raw(nc, len(free), tuple(out))
 
     def nilpotent_series_inverse(self, bound: int) -> Gf2Matrix:
         """Inverse of (I + self) as the finite sum I + self + ... + self^(bound-1).
@@ -362,6 +352,48 @@ class Gf2Matrix:
         tl, tr = top.split_cols(j)
         bl, br = bottom.split_cols(j)
         return tl, tr, bl, br
+
+
+def _rref(words: Iterable[int], width: int) -> tuple[dict[int, int], int]:
+    """Reduced row-echelon form of bit-packed rows, pivoting in columns below width.
+
+    Returns ``(pivots, dependent)``. ``pivots`` maps each pivot column to
+    its RREF row; a row's pivot column is its lowest set bit, and the row
+    is zero in every other pivot column. ``dependent`` is the index of the
+    first row whose low ``width`` bits are a sum of earlier rows', or -1.
+
+    Each row is XORed against the pivot stored for its lowest set bit
+    until that bit is free, and the row joins the dictionary, or the row
+    is dependent: it is zero or its lowest set bit is at or above
+    ``width``. A back-substitution pass, from the highest pivot column
+    down, then clears the other pivot columns. Both passes visit set bits
+    only, so the cost follows the fill.
+    """
+    pivots: dict[int, int] = {}
+    dependent = -1
+    for i, w in enumerate(words):
+        col = (w & -w).bit_length() - 1
+        p = pivots.get(col)
+        while p is not None:
+            w ^= p
+            col = (w & -w).bit_length() - 1
+            p = pivots.get(col)
+        if 0 <= col < width:
+            pivots[col] = w
+        elif dependent < 0:
+            dependent = i
+    mask = 0
+    for col in pivots:
+        mask |= 1 << col
+    for col in sorted(pivots, reverse=True):
+        w = pivots[col]
+        above = (w & mask) ^ (1 << col)
+        while above:
+            low = above & -above
+            w ^= pivots[low.bit_length() - 1]
+            above ^= low
+        pivots[col] = w
+    return pivots, dependent
 
 
 @dataclass(frozen=True)

@@ -69,6 +69,52 @@ def rank(a: Matrix) -> int:
     return r
 
 
+def rref(a: Matrix, cols: int) -> tuple[Matrix, list[int]]:
+    """Textbook Gauss-Jordan: the reduced row-echelon form and its pivot columns.
+
+    Columns are scanned left to right; zero rows are dropped from the result.
+    """
+    m = [row[:] for row in a]
+    pivot_cols: list[int] = []
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                m[i] = [(x + y) % 2 for x, y in zip(m[i], m[r])]
+        pivot_cols.append(c)
+        r += 1
+    return m[:r], pivot_cols
+
+
+def kernel_basis(a: Matrix, cols: int) -> Matrix:
+    """The cols x k matrix of the canonical null-space basis read off the RREF.
+
+    One basis column per free column, in increasing order: a 1 in that free
+    column, the RREF entries of that column in the pivot positions.
+    """
+    reduced, pivot_cols = rref(a, cols)
+    free_cols = [c for c in range(cols) if c not in pivot_cols]
+    out = zeros(cols, len(free_cols))
+    for k, fc in enumerate(free_cols):
+        out[fc][k] = 1
+        for row, pc in zip(reduced, pivot_cols):
+            out[pc][k] = row[fc]
+    return out
+
+
+def inverse(a: Matrix) -> Matrix | None:
+    """Inverse of a square matrix by Gauss-Jordan on [a | I], or None if singular."""
+    n = len(a)
+    reduced, pivot_cols = rref([row + unit for row, unit in zip(a, identity(n))], 2 * n)
+    if pivot_cols[:n] != list(range(n)):
+        return None
+    return [row[n:] for row in reduced]
+
+
 def betti_from_matrices(dims: tuple[int, int, int], d1: Matrix, d2: Matrix) -> tuple[int, int, int]:
     r1, r2 = rank(d1), rank(d2)
     return (dims[0] - r1, dims[1] - r1 - r2, dims[2] - r2)

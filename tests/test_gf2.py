@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from morsereduce.gf2 import (
@@ -173,6 +173,104 @@ def test_right_kernel_basis_properties():
         assert k.cols == m.cols - oracle.rank(m.to_rows())
         assert m.mul(k).is_zero()
         assert k.rank() == k.cols  # columns independent: they span the whole kernel
+
+
+@st.composite
+def dense_matrices(draw, square=False):
+    rows = draw(st.integers(0, 12))
+    cols = rows if square else draw(st.integers(0, 12))
+    words = draw(st.lists(st.integers(0, (1 << cols) - 1), min_size=rows, max_size=rows))
+    return Gf2Matrix(rows, cols, words)
+
+
+@st.composite
+def one_bit_stacks(draw, square=False):
+    """vstack of two matrices with at most one bit per row, like vstack(f, h)."""
+    cols = draw(st.integers(0, 12))
+    word = st.just(0) if cols == 0 else st.one_of(
+        st.just(0), st.integers(0, cols - 1).map(lambda j: 1 << j)
+    )
+    if square:
+        split = draw(st.integers(0, cols))
+        top = draw(st.lists(word, min_size=split, max_size=split))
+        bottom = draw(st.lists(word, min_size=cols - split, max_size=cols - split))
+    else:
+        top, bottom = draw(st.lists(word, max_size=12)), draw(st.lists(word, max_size=12))
+    return vstack(Gf2Matrix(len(top), cols, top), Gf2Matrix(len(bottom), cols, bottom))
+
+
+@st.composite
+def full_rank_wide(draw, square=False):
+    """An r x c matrix of rank r: invertible L U times [I | R], columns shuffled."""
+    r = draw(st.integers(0, 10))
+    c = r if square else draw(st.integers(r, 12))
+    lower = [draw(st.integers(0, (1 << i) - 1)) | (1 << i) for i in range(r)]
+    upper = [(draw(st.integers(0, (1 << r) - 1)) >> (i + 1) << (i + 1)) | (1 << i) for i in range(r)]
+    right = draw(st.lists(st.integers(0, (1 << (c - r)) - 1), min_size=r, max_size=r))
+    perm = draw(st.permutations(range(c)))
+    base = hstack(Gf2Matrix.identity(r), Gf2Matrix(r, c - r, right))
+    m = Gf2Matrix(r, r, lower).mul(Gf2Matrix(r, r, upper)).mul(base)
+    m = m.permute(Permutation.identity(r), Permutation(tuple(perm)))
+    assert m.rank() == r
+    return m
+
+
+def any_matrix():
+    return st.one_of(
+        dense_matrices(),
+        one_bit_stacks(),
+        st.integers(0, 12).map(Gf2Matrix.identity),
+        full_rank_wide(),
+        full_rank_wide().map(Gf2Matrix.transpose),
+    )
+
+
+def square_matrix():
+    return st.one_of(
+        dense_matrices(square=True),
+        one_bit_stacks(square=True),
+        st.integers(0, 12).map(Gf2Matrix.identity),
+        full_rank_wide(square=True),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_matrix())
+@example(Gf2Matrix.zeros(0, 0))
+@example(Gf2Matrix.zeros(0, 5))
+@example(Gf2Matrix.zeros(5, 0))
+def test_right_kernel_basis_is_the_canonical_rref_basis(m):
+    want = oracle.kernel_basis(m.to_rows(), m.cols)
+    got = m.right_kernel_basis()
+    assert (got.rows, got.cols) == (m.cols, m.cols - oracle.rank(m.to_rows()))
+    assert got.to_rows() == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_matrix())
+@example(Gf2Matrix.zeros(0, 0))
+def test_inverse_matches_oracle_or_raises_singular(m):
+    want = oracle.inverse(m.to_rows())
+    if want is None:
+        with pytest.raises(Singular):
+            m.inverse()
+    else:
+        assert m.inverse().to_rows() == want
+
+
+@pytest.mark.parametrize(
+    "rows,dependent",
+    [
+        ([[1, 1], [1, 1]], 1),
+        ([[0, 0], [1, 0]], 0),
+        ([[1, 0, 0], [0, 1, 0], [1, 1, 0]], 2),
+        ([[1, 0, 1], [1, 1, 0], [0, 1, 1]], 2),
+        ([[0, 1, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [1, 0, 0, 1]], 2),
+    ],
+)
+def test_singular_names_the_dependent_row(rows, dependent):
+    with pytest.raises(Singular, match=rf"row {dependent} is a sum of earlier rows"):
+        Gf2Matrix.from_rows(rows).inverse()
 
 
 def test_pow_laws():
