@@ -14,7 +14,6 @@ from .complexes import (
     ReductionTriple,
     TruncatedComplex,
     betti,
-    from_truncated,
     verify_reduction,
 )
 from .cubical import CubicalComplex, boundary_matrices, build_cubical
@@ -43,7 +42,6 @@ from .perturbation import (
     DecompositionFailure,
     NotInvertible,
     Perturbation,
-    SplitComplex,
     bpl,
     decompose,
     hexagonal_general,
@@ -53,6 +51,7 @@ from .perturbation import (
 from .pipeline import PipelineResult, reduce_pipeline, report_dict
 from .reduction import (
     ReorderedComplex,
+    SplitComplex,
     TriangularityViolation,
     hexagonal_reduce,
     reorder,
@@ -100,7 +99,6 @@ __all__ = [
     "decompose",
     "format_dvf",
     "format_matrix_text",
-    "from_truncated",
     "hexagonal_general",
     "hexagonal_reduce",
     "hstack",

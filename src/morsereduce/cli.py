@@ -18,10 +18,10 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from .complexes import BoundaryViolation, betti, from_truncated
+from .complexes import BoundaryViolation, betti
 from .gf2 import parse_matrix_text
 from .image import BinaryImage, NetpbmError, load_image, random_image
-from .pipeline import STAGE_KEYS, reduce_pipeline, report_dict
+from .pipeline import CHECK_KEYS, STAGE_KEYS, reduce_pipeline, report_dict
 from .vectorfield import check_admissible, format_dvf, rs_algorithm
 
 __all__ = ["main", "main_entry"]
@@ -53,7 +53,9 @@ def _no_reduce_report(img: BinaryImage) -> dict:
     from .image import count_components
 
     t = boundary_matrices(build_cubical(img))
-    b = betti(from_truncated(t))
+    b = betti(t)
+    checks = dict.fromkeys(CHECK_KEYS)
+    checks["boundary"] = t.d1.mul(t.d2).is_zero()
     dims = {"c0": t.c0, "c1": t.c1, "c2": t.c2}
     return {
         "original": dims,
@@ -62,14 +64,7 @@ def _no_reduce_report(img: BinaryImage) -> dict:
         "betti_original": [b[k] for k in (0, 1, 2)],
         "betti_reduced": [b[k] for k in (0, 1, 2)],
         "components": count_components(img),
-        "checks": {
-            "dvf": None,
-            "triangular": None,
-            "boundary": t.d1.mul(t.d2).is_zero(),
-            "reduction_axioms": None,
-            "bpl_match": None,
-            "nilpotency": None,
-        },
+        "checks": checks,
         "timings_ms": {},
     }
 
@@ -102,8 +97,7 @@ def _cmd_dvf(args: argparse.Namespace) -> int:
 def _battery_one(img: BinaryImage) -> dict[str, bool]:
     """Run the full pipeline on one image and flatten every check to a bool."""
     res = reduce_pipeline(img, fast=False)
-    out = {k: bool(res.checks.get(k)) for k in
-           ("boundary", "dvf", "triangular", "reduction_axioms", "bpl_match", "nilpotency")}
+    out = {k: bool(res.checks.get(k)) for k in CHECK_KEYS}
     out["betti_equal"] = res.betti_original == res.betti_reduced
     out["betti0_components"] = res.betti_original[0] == res.components
     out["betti2_zero"] = res.betti_original[2] == 0

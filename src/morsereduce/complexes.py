@@ -8,7 +8,7 @@ Everything outside the window is the zero module.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 
 from .gf2 import Gf2Matrix
 from .verification import VerificationReport
@@ -18,7 +18,6 @@ __all__ = [
     "FGChainComplex",
     "TruncatedComplex",
     "ReductionTriple",
-    "from_truncated",
     "betti",
     "verify_reduction",
 ]
@@ -93,48 +92,39 @@ class FGChainComplex:
 
     def __repr__(self) -> str:
         dims = ", ".join(f"{k}: {self.dim(k)}" for k in self.degrees())
-        return f"<FGChainComplex [{self.lo}, {self.hi}] dims {{{dims}}}>"
+        return f"<{type(self).__name__} [{self.lo}, {self.hi}] dims {{{dims}}}>"
 
 
-class TruncatedComplex:
-    """The degree-[0, 2] data of a cell complex: just D1 and D2 with D1 . D2 = 0."""
+class TruncatedComplex(FGChainComplex):
+    """The [0, 2] window of FGChainComplex, built from D1 and D2 with D1 . D2 = 0."""
 
-    __slots__ = ("d1", "d2")
+    __slots__ = ()
 
     def __init__(self, d1: Gf2Matrix, d2: Gf2Matrix):
-        if d1.cols != d2.rows:
-            raise ValueError(f"D1 is {d1.rows}x{d1.cols} but D2 is {d2.rows}x{d2.cols}")
-        if not d1.mul(d2).is_zero():
-            raise BoundaryViolation("D1 . D2 != 0")
-        self.d1 = d1
-        self.d2 = d2
+        super().__init__(0, 2, {0: d1.rows, 1: d1.cols, 2: d2.cols}, {1: d1, 2: d2})
+
+    @property
+    def d1(self) -> Gf2Matrix:
+        return self.d(1)
+
+    @property
+    def d2(self) -> Gf2Matrix:
+        return self.d(2)
 
     @property
     def c0(self) -> int:
-        return self.d1.rows
+        return self.dim(0)
 
     @property
     def c1(self) -> int:
-        return self.d1.cols
+        return self.dim(1)
 
     @property
     def c2(self) -> int:
-        return self.d2.cols
+        return self.dim(2)
 
     def dims(self) -> tuple[int, int, int]:
         return (self.c0, self.c1, self.c2)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TruncatedComplex):
-            return NotImplemented
-        return self.d1 == other.d1 and self.d2 == other.d2
-
-    def __repr__(self) -> str:
-        return f"<TruncatedComplex {self.c0}/{self.c1}/{self.c2}>"
-
-
-def from_truncated(t: TruncatedComplex) -> FGChainComplex:
-    return FGChainComplex(0, 2, {0: t.c0, 1: t.c1, 2: t.c2}, {1: t.d1, 2: t.d2})
 
 
 def betti(c: FGChainComplex) -> dict[int, int]:
@@ -155,54 +145,64 @@ class ReductionTriple:
     f(k): big_k -> small_k and g(k): small_k -> big_k are chain maps, and
     h(k): big_k -> big_(k+1) is the homotopy; verify_reduction checks the
     five defining identities plus both chain-map conditions.
+
+    Each map is given either as a mapping from degree to matrix, checked
+    on construction, or as a function of the degree that builds the
+    matrix the first time it is read, checked then. A missing degree, or
+    a function returning None, means the zero map.
     """
 
-    __slots__ = ("big", "small", "_f", "_g", "_h")
+    __slots__ = ("big", "small", "_build", "_built")
 
     def __init__(
         self,
         big: FGChainComplex,
         small: FGChainComplex,
-        f: Mapping[int, Gf2Matrix],
-        g: Mapping[int, Gf2Matrix],
-        h: Mapping[int, Gf2Matrix],
+        f: Mapping[int, Gf2Matrix] | Callable[[int], Gf2Matrix | None],
+        g: Mapping[int, Gf2Matrix] | Callable[[int], Gf2Matrix | None],
+        h: Mapping[int, Gf2Matrix] | Callable[[int], Gf2Matrix | None],
     ):
         if (big.lo, big.hi) != (small.lo, small.hi):
             raise ValueError("big and small complexes must share a degree window")
         self.big = big
         self.small = small
-        self._f = dict(f)
-        self._g = dict(g)
-        self._h = dict(h)
-        for k, m in self._f.items():
-            if (m.rows, m.cols) != (small.dim(k), big.dim(k)):
-                raise ValueError(f"f({k}) is {m.rows}x{m.cols}, expected {small.dim(k)}x{big.dim(k)}")
-        for k, m in self._g.items():
-            if (m.rows, m.cols) != (big.dim(k), small.dim(k)):
-                raise ValueError(f"g({k}) is {m.rows}x{m.cols}, expected {big.dim(k)}x{small.dim(k)}")
-        for k, m in self._h.items():
-            if (m.rows, m.cols) != (big.dim(k + 1), big.dim(k)):
-                raise ValueError(
-                    f"h({k}) is {m.rows}x{m.cols}, expected {big.dim(k + 1)}x{big.dim(k)}"
-                )
+        self._build: dict[str, Callable[[int], Gf2Matrix | None]] = {}
+        self._built: dict[tuple[str, int], Gf2Matrix] = {}
+        for name, source in (("f", f), ("g", g), ("h", h)):
+            if callable(source):
+                self._build[name] = source
+            else:
+                given = dict(source)
+                self._build[name] = given.get
+                for k in given:
+                    self._map(name, k)
+
+    def _map(self, name: str, k: int) -> Gf2Matrix:
+        m = self._built.get((name, k))
+        if m is not None:
+            return m
+        if name == "f":
+            rows, cols = self.small.dim(k), self.big.dim(k)
+        elif name == "g":
+            rows, cols = self.big.dim(k), self.small.dim(k)
+        else:
+            rows, cols = self.big.dim(k + 1), self.big.dim(k)
+        m = self._build[name](k)
+        if m is None:
+            m = Gf2Matrix.zeros(rows, cols)
+        elif (m.rows, m.cols) != (rows, cols):
+            raise ValueError(f"{name}({k}) is {m.rows}x{m.cols}, expected {rows}x{cols}")
+        self._built[(name, k)] = m
+        return m
 
     def f(self, k: int) -> Gf2Matrix:
-        stored = self._f.get(k)
-        if stored is not None:
-            return stored
-        return Gf2Matrix.zeros(self.small.dim(k), self.big.dim(k))
+        return self._map("f", k)
 
     def g(self, k: int) -> Gf2Matrix:
-        stored = self._g.get(k)
-        if stored is not None:
-            return stored
-        return Gf2Matrix.zeros(self.big.dim(k), self.small.dim(k))
+        return self._map("g", k)
 
     def h(self, k: int) -> Gf2Matrix:
-        stored = self._h.get(k)
-        if stored is not None:
-            return stored
-        return Gf2Matrix.zeros(self.big.dim(k + 1), self.big.dim(k))
+        return self._map("h", k)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ReductionTriple):

@@ -74,7 +74,8 @@ def boundary_matrices(cx: CubicalComplex) -> TruncatedComplex:
     """Mod-2 boundary matrices: D1 (vertices x edges) and D2 (edges x squares).
 
     D1[v][e] = 1 iff v is an endpoint of e; D2[e][s] = 1 iff e is a side of s.
-    The TruncatedComplex constructor re-checks D1 . D2 = 0.
+    The result is the [0, 2] window of an FGChainComplex, whose constructor
+    checks D1 . D2 = 0 once; it is passed on as it is, never rebuilt.
     """
     c0, c1, c2 = cx.counts()
     d1_bits = [0] * c0

@@ -338,6 +338,8 @@ class Gf2Matrix:
         """Split into the first j columns and the rest."""
         if not 0 <= j <= self.cols:
             raise ValueError(f"column split {j} out of range for {self.cols} columns")
+        if j == 0:  # immutable, so the whole matrix is shared, not copied row by row
+            return Gf2Matrix.zeros(self.rows, 0), self
         mask = (1 << j) - 1
         left = tuple(word & mask for word in self.bits)
         right = tuple(word >> j for word in self.bits)

@@ -24,14 +24,13 @@ from dataclasses import dataclass
 
 from .complexes import FGChainComplex, ReductionTriple, verify_reduction
 from .gf2 import Gf2Matrix, NotNilpotent, Singular, hstack, join4, vstack
-from .reduction import ReorderedComplex
+from .reduction import ReorderedComplex, SplitComplex, _eliminate
 from .verification import VerificationError
 
 __all__ = [
     "DecompositionFailure",
     "NotInvertible",
     "Perturbation",
-    "SplitComplex",
     "Decomposition",
     "decompose",
     "hexagonal_general",
@@ -82,37 +81,6 @@ class Perturbation:
         if stored is not None:
             return stored
         return Gf2Matrix.zeros(self.base.dim(k - 1), self.base.dim(k))
-
-
-class SplitComplex:
-    """A complex whose degrees carry an ordered three-part basis split."""
-
-    __slots__ = ("cx", "_splits")
-
-    def __init__(self, cx: FGChainComplex, splits: Mapping[int, tuple[int, int, int]]):
-        self.cx = cx
-        self._splits: dict[int, tuple[int, int, int]] = {}
-        for k, (a, b, c) in splits.items():
-            if min(a, b, c) < 0 or a + b + c != cx.dim(k):
-                raise ValueError(f"split {a}+{b}+{c} != dim {cx.dim(k)} in degree {k}")
-            self._splits[k] = (a, b, c)
-
-    def split(self, k: int) -> tuple[int, int, int]:
-        return self._splits.get(k, (0, 0, self.cx.dim(k)))
-
-    def blocks(self, k: int) -> list[list[Gf2Matrix]]:
-        """The 3x3 blocks of d(k): rows split by degree k-1, columns by degree k."""
-        ra, rb, _ = self.split(k - 1)
-        ca, cb, _ = self.split(k)
-        d = self.cx.d(k)
-        top, rest = d.split_rows(ra)
-        mid, bot = rest.split_rows(rb)
-        out = []
-        for band in (top, mid, bot):
-            left, r2 = band.split_cols(ca)
-            center, right = r2.split_cols(cb)
-            out.append([left, center, right])
-        return out
 
 
 @dataclass(frozen=True)
@@ -203,15 +171,10 @@ def hexagonal_general(
     returned triple retracts onto the C-part, with small differential
     d33 + d31 u d23, and is verified before being returned.
     """
-    cx = sc.cx
-    lo, hi = cx.lo, cx.hi
-
-    def sizes(k: int) -> tuple[int, int, int]:
-        return sc.split(k) if lo <= k <= hi else (0, 0, 0)
-
+    lo, hi = sc.cx.lo, sc.cx.hi
     for k in range(lo, hi + 2):
-        a_k = sizes(k)[0]
-        b_prev = sizes(k - 1)[1]
+        a_k = sc.split(k)[0]
+        b_prev = sc.split(k - 1)[1]
         if a_k != b_prev:
             raise NotInvertible(
                 f"degree {k}: A has size {a_k} but B below has size {b_prev}"
@@ -219,9 +182,8 @@ def hexagonal_general(
 
     u: dict[int, Gf2Matrix] = {}
     for k in range(lo, hi + 2):
-        a_k = sizes(k)[0]
+        a_k = sc.split(k)[0]
         if a_k == 0:
-            u[k] = Gf2Matrix.zeros(0, 0)
             continue
         if k not in pivot_inverses:
             raise NotInvertible(f"degree {k}: missing pivot inverse")
@@ -235,34 +197,7 @@ def hexagonal_general(
             raise NotInvertible(f"degree {k}: claimed pivot inverse fails")
         u[k] = cand
 
-    c_dims = {k: sizes(k)[2] for k in range(lo, hi + 1)}
-    d_small: dict[int, Gf2Matrix] = {}
-    f: dict[int, Gf2Matrix] = {}
-    g: dict[int, Gf2Matrix] = {}
-    h: dict[int, Gf2Matrix] = {}
-    for k in range(lo, hi + 1):
-        a_k, b_k, c_k = sizes(k)
-        a_next, b_next, c_next = sizes(k + 1)
-        blocks_k = sc.blocks(k)
-        blocks_next = sc.blocks(k + 1) if k < hi else None
-        if k > lo:
-            d_small[k] = blocks_k[2][2] + blocks_k[2][0].mul(u[k]).mul(blocks_k[1][2])
-        if blocks_next is not None:
-            proj = blocks_next[2][0].mul(u[k + 1])  # c_k x b_k
-        else:
-            proj = Gf2Matrix.zeros(c_k, b_k)
-        f[k] = hstack(hstack(Gf2Matrix.zeros(c_k, a_k), proj), Gf2Matrix.identity(c_k))
-        g[k] = vstack(
-            vstack(u[k].mul(blocks_k[1][2]), Gf2Matrix.zeros(b_k, c_k)),
-            Gf2Matrix.identity(c_k),
-        )
-        h_top = hstack(
-            hstack(Gf2Matrix.zeros(a_next, a_k), u[k + 1]), Gf2Matrix.zeros(a_next, c_k)
-        )
-        h[k] = vstack(h_top, Gf2Matrix.zeros(b_next + c_next, a_k + b_k + c_k))
-
-    small = FGChainComplex(lo, hi, c_dims, d_small)
-    triple = ReductionTriple(cx, small, f, g, h)
+    triple = _eliminate(sc, u)
     report = verify_reduction(triple)
     if not report.ok:
         raise VerificationError(report, "generalized block reduction")

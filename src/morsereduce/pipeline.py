@@ -12,7 +12,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .complexes import ReductionTriple, TruncatedComplex, betti, from_truncated, verify_reduction
+from .complexes import ReductionTriple, TruncatedComplex, betti, verify_reduction
 from .cubical import build_cubical, boundary_matrices
 from .gf2 import Gf2Matrix
 from .image import BinaryImage, count_components
@@ -37,6 +37,10 @@ STAGE_KEYS = (
     "bpl_route",
     "total",
 )
+
+# Order of the pipeline's checks in reports; fast mode reports the skipped
+# ones as None.
+CHECK_KEYS = ("dvf", "triangular", "boundary", "reduction_axioms", "bpl_match", "nilpotency")
 
 
 @dataclass
@@ -118,10 +122,10 @@ def reduce_pipeline(img: BinaryImage, fast: bool = False) -> PipelineResult:
         clock("verify_reduction", t0)
 
     t0 = time.perf_counter()
-    betti_orig = betti(from_truncated(original))
+    betti_orig = betti(original)
     clock("betti_original", t0)
     t0 = time.perf_counter()
-    betti_red = betti(from_truncated(reduced))
+    betti_red = betti(reduced)
     clock("betti_reduced", t0)
 
     if fast:
@@ -173,16 +177,6 @@ def report_dict(res: PipelineResult) -> dict:
         "betti_original": [res.betti_original[k] for k in (0, 1, 2)],
         "betti_reduced": [res.betti_reduced[k] for k in (0, 1, 2)],
         "components": res.components,
-        "checks": {
-            key: res.checks.get(key)
-            for key in (
-                "dvf",
-                "triangular",
-                "boundary",
-                "reduction_axioms",
-                "bpl_match",
-                "nilpotency",
-            )
-        },
+        "checks": {key: res.checks.get(key) for key in CHECK_KEYS},
         "timings_ms": {k: res.timings_ms[k] for k in STAGE_KEYS if k in res.timings_ms},
     }

@@ -6,22 +6,63 @@ an off-diagonal 1 at (i, j) with j > i would witness a relation edge from
 pair j's row to pair i's row, forcing lambda(j) > lambda(i) and therefore
 j < i in the sort. With L invertible, Gaussian block elimination of the
 paired rows and columns yields a smaller complex on the critical cells
-together with an explicit strong deformation retract onto it.
+together with an explicit strong deformation retract onto it. The same
+elimination, for a complex split as A + B + C in every degree, also backs
+perturbation.hexagonal_general.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
-from .complexes import FGChainComplex, ReductionTriple, TruncatedComplex, from_truncated
-from .gf2 import Gf2Matrix, Permutation, hstack, join4, vstack
+from .complexes import FGChainComplex, ReductionTriple, TruncatedComplex
+from .gf2 import Gf2Matrix, Permutation
 from .vectorfield import DiscreteVectorField
 
-__all__ = ["TriangularityViolation", "ReorderedComplex", "reorder", "hexagonal_reduce"]
+__all__ = [
+    "TriangularityViolation", "ReorderedComplex", "SplitComplex", "reorder", "hexagonal_reduce"
+]
 
 
 class TriangularityViolation(Exception):
     """The paired block of the reordered D1 is not unit lower triangular."""
+
+
+class SplitComplex:
+    """A complex whose degrees carry an ordered three-part basis split."""
+
+    __slots__ = ("cx", "_splits", "_blocks")
+
+    def __init__(self, cx: FGChainComplex, splits: Mapping[int, tuple[int, int, int]]):
+        self.cx = cx
+        self._splits: dict[int, tuple[int, int, int]] = {}
+        for k, (a, b, c) in splits.items():
+            if min(a, b, c) < 0 or a + b + c != cx.dim(k):
+                raise ValueError(f"split {a}+{b}+{c} != dim {cx.dim(k)} in degree {k}")
+            self._splits[k] = (a, b, c)
+        self._blocks: dict[int, tuple[tuple[Gf2Matrix, ...], ...]] = {}
+
+    def split(self, k: int) -> tuple[int, int, int]:
+        return self._splits.get(k, (0, 0, self.cx.dim(k)))
+
+    def blocks(self, k: int) -> tuple[tuple[Gf2Matrix, ...], ...]:
+        """The 3x3 blocks of d(k): rows split by degree k-1, columns by degree k.
+
+        Computed on the first call for k; later calls return the same blocks.
+        """
+        if k not in self._blocks:
+            ra, rb, _ = self.split(k - 1)
+            ca, cb, _ = self.split(k)
+            top, rest = self.cx.d(k).split_rows(ra)
+            mid, bot = rest.split_rows(rb)
+            out = []
+            for band in (top, mid, bot):
+                left, r2 = band.split_cols(ca)
+                center, right = r2.split_cols(cb)
+                out.append((left, center, right))
+            self._blocks[k] = tuple(out)
+        return self._blocks[k]
 
 
 @dataclass(frozen=True)
@@ -32,6 +73,8 @@ class ReorderedComplex:
     D1, so the nv x nv upper-left block L is unit lower triangular. T, S, R
     are the other D1 quadrants; d2_top/d2_bot split the reordered D2 rows
     at nv.  row_perm and col_perm send original indices to new positions.
+    split has the paired edges as A in degree 1, the paired vertices as B
+    in degree 0 and the critical cells as C; the blocks above are its own.
     """
 
     original: TruncatedComplex
@@ -39,6 +82,7 @@ class ReorderedComplex:
     nv: int
     row_perm: Permutation
     col_perm: Permutation
+    split: SplitComplex
     L: Gf2Matrix
     T: Gf2Matrix
     S: Gf2Matrix
@@ -80,18 +124,21 @@ def reorder(t: TruncatedComplex, vf: DiscreteVectorField) -> ReorderedComplex:
     col_perm = _front_permutation(t.c1, [c for _, c in vf.pairs], "column")
     d1r = t.d1.permute(row_perm, col_perm)
     d2r = t.d2.permute(col_perm, Permutation.identity(t.c2))
-    block_l, block_t, block_s, block_r = d1r.split4(nv, nv)
+    splits = {0: (0, nv, t.c0 - nv), 1: (nv, 0, t.c1 - nv), 2: (0, 0, t.c2)}
+    split = SplitComplex(TruncatedComplex(d1r, d2r), splits)
+    _, (block_l, _, block_t), (block_s, _, block_r) = split.blocks(1)
     if not block_l.is_lower_unitriangular():
         raise TriangularityViolation(
             "paired block is not unit lower triangular; field unsorted or inadmissible"
         )
-    d2_top, d2_bot = d2r.split_rows(nv)
+    (_, _, d2_top), _, (_, _, d2_bot) = split.blocks(2)
     return ReorderedComplex(
         original=t,
-        reordered=TruncatedComplex(d1r, d2r),
+        reordered=split.cx,
         nv=nv,
         row_perm=row_perm,
         col_perm=col_perm,
+        split=split,
         L=block_l,
         T=block_t,
         S=block_s,
@@ -99,6 +146,53 @@ def reorder(t: TruncatedComplex, vf: DiscreteVectorField) -> ReorderedComplex:
         d2_top=d2_top,
         d2_bot=d2_bot,
     )
+
+
+def _eliminate(sc: SplitComplex, u: Mapping[int, Gf2Matrix]) -> ReductionTriple:
+    """Block elimination of the A and B parts of a split complex onto its C-parts.
+
+    u[k] must invert the d21 block A_k -> B_(k-1) wherever A_k is nonzero
+    (missing degrees are empty). The small differential d33 + d31 u d23 is
+    computed here; f, g and h are built the first time they are read.
+    """
+    cx = sc.cx
+    lo, hi = cx.lo, cx.hi
+    empty = Gf2Matrix.zeros(0, 0)
+    d_small: dict[int, Gf2Matrix] = {}
+    d31_u: dict[int, Gf2Matrix] = {}  # formed once: feeds d_small and f
+    for k in range(lo + 1, hi + 1):
+        blocks = sc.blocks(k)
+        d31_u[k] = blocks[2][0].mul(u.get(k, empty))
+        d_small[k] = blocks[2][2] + d31_u[k].mul(blocks[1][2])
+    if (lo, hi) == (0, 2):  # keep the c0..c2, d1, d2 view that callers read
+        small = TruncatedComplex(d_small[1], d_small[2])
+    else:
+        small = FGChainComplex(lo, hi, {k: sc.split(k)[2] for k in cx.degrees()}, d_small)
+
+    # In the A, B, C blocks: f(k) = [0 | d31 u | I], g(k) = [u d23; 0; I] and
+    # h(k) = [0 u 0; 0 0 0], each assembled directly from row words.
+    def f(k: int) -> Gf2Matrix | None:
+        if not lo <= k <= hi:
+            return None
+        a, b, c = sc.split(k)
+        proj = d31_u[k + 1].bits if k < hi else (0,) * c
+        return Gf2Matrix(c, a + b + c, [p << a | 1 << (a + b + i) for i, p in enumerate(proj)])
+
+    def g(k: int) -> Gf2Matrix | None:
+        if not lo <= k <= hi:
+            return None
+        a, b, c = sc.split(k)
+        lift = u.get(k, empty).mul(sc.blocks(k)[1][2]).bits
+        return Gf2Matrix(a + b + c, c, lift + (0,) * b + tuple(1 << i for i in range(c)))
+
+    def h(k: int) -> Gf2Matrix | None:
+        if not lo <= k <= hi:
+            return None
+        a, b, c = sc.split(k)
+        top = [w << a for w in u.get(k + 1, empty).bits]
+        return Gf2Matrix(cx.dim(k + 1), a + b + c, top + [0] * (cx.dim(k + 1) - len(top)))
+
+    return ReductionTriple(cx, small, f, g, h)
 
 
 def hexagonal_reduce(rc: ReorderedComplex) -> tuple[TruncatedComplex, ReductionTriple]:
@@ -109,35 +203,7 @@ def hexagonal_reduce(rc: ReorderedComplex) -> tuple[TruncatedComplex, ReductionT
     triple from the reordered complex onto it. D1 . D2 = 0 forces the
     paired rows of D2 to equal L^-1 T D2', which is why dropping them is a
     chain map. The triple's identities are checked by verify_reduction.
+    It is the elimination of rc.split with u(1) = L^-1.
     """
-    nv = rc.nv
-    s0 = rc.original.c0 - nv  # critical vertices
-    s1 = rc.original.c1 - nv  # critical edges
-    c2 = rc.original.c2
-    linv = rc.L.inv_unit_lower_triangular()
-    s_linv = rc.S.mul(linv)
-    linv_t = linv.mul(rc.T)
-    d1_small = rc.R + s_linv.mul(rc.T)
-    small_t = TruncatedComplex(d1_small, rc.d2_bot)
-    big = from_truncated(rc.reordered)
-    small = from_truncated(small_t)
-    f = {
-        0: hstack(s_linv, Gf2Matrix.identity(s0)),
-        1: hstack(Gf2Matrix.zeros(s1, nv), Gf2Matrix.identity(s1)),
-        2: Gf2Matrix.identity(c2),
-    }
-    g = {
-        0: vstack(Gf2Matrix.zeros(nv, s0), Gf2Matrix.identity(s0)),
-        1: vstack(linv_t, Gf2Matrix.identity(s1)),
-        2: Gf2Matrix.identity(c2),
-    }
-    h = {
-        0: join4(
-            linv,
-            Gf2Matrix.zeros(nv, s0),
-            Gf2Matrix.zeros(s1, nv),
-            Gf2Matrix.zeros(s1, s0),
-        ),
-        1: Gf2Matrix.zeros(c2, nv + s1),
-    }
-    return small_t, ReductionTriple(big, small, f, g, h)
+    triple = _eliminate(rc.split, {1: rc.L.inv_unit_lower_triangular()})
+    return triple.small, triple

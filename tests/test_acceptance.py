@@ -9,7 +9,7 @@ wall-clock budgets stated inline.
 import random
 import time
 
-from morsereduce.complexes import TruncatedComplex, betti, from_truncated, verify_reduction
+from morsereduce.complexes import TruncatedComplex, betti, verify_reduction
 from morsereduce.cubical import boundary_matrices, build_cubical
 from morsereduce.gf2 import Gf2Matrix, Singular
 from morsereduce.image import BinaryImage, random_image
@@ -202,7 +202,7 @@ def test_certified_pipeline_speed_at_reference_scale():
     res = reduce_pipeline(img, fast=False)
     t_pipe = time.perf_counter() - start
     start = time.perf_counter()
-    b = betti(from_truncated(res.reduced))
+    b = betti(res.reduced)
     t_betti = time.perf_counter() - start
 
     checks_ok = res.ok and b == res.betti_reduced

@@ -8,7 +8,6 @@ from morsereduce.complexes import (
     ReductionTriple,
     TruncatedComplex,
     betti,
-    from_truncated,
     verify_reduction,
 )
 from morsereduce.gf2 import Gf2Matrix
@@ -71,7 +70,7 @@ def test_betti_matches_oracle_ranks():
         ]
     )
     d2 = Gf2Matrix.zeros(3, 0)
-    c = from_truncated(TruncatedComplex(d1, d2))
+    c = TruncatedComplex(d1, d2)
     want = oracle.betti_from_matrices((4, 3, 0), d1.to_rows(), d2.to_rows())
     assert betti(c) == {0: want[0], 1: want[1], 2: want[2]}
     assert betti(c) == {0: 2, 1: 1, 2: 0}
@@ -117,3 +116,19 @@ def test_reduction_triple_shape_validation():
     lo_mismatch = FGChainComplex(1, 2, {1: 1, 2: 0})
     with pytest.raises(ValueError):
         ReductionTriple(c, lo_mismatch, {}, {}, {})
+
+
+def test_reduction_triple_builds_lazy_maps_once_and_checks_them_when_read():
+    c = FGChainComplex(0, 1, {0: 2, 1: 2}, {1: Gf2Matrix.from_rows([[1, 1], [1, 1]])})
+    built = []
+
+    def f(k):
+        built.append(k)
+        return Gf2Matrix.identity(2) if k == 0 else None
+
+    r = ReductionTriple(c, c, f, {}, lambda k: Gf2Matrix.zeros(3, 3))
+    assert built == []
+    assert r.f(0) is r.f(0) and built == [0]
+    assert r.f(1) == Gf2Matrix.zeros(2, 2)
+    with pytest.raises(ValueError):
+        r.h(0)

@@ -2,7 +2,7 @@
 
 import random
 
-from morsereduce.complexes import betti, from_truncated
+from morsereduce.complexes import betti
 from morsereduce.cubical import boundary_matrices, build_cubical
 from morsereduce.image import BinaryImage, random_image
 
@@ -34,7 +34,7 @@ def test_ring_cell_counts():
 def test_empty_image_yields_empty_complex():
     t = boundary_matrices(build_cubical(BinaryImage(4, 3, 0)))
     assert t.dims() == (0, 0, 0)
-    assert betti(from_truncated(t)) == {0: 0, 1: 0, 2: 0}
+    assert betti(t) == {0: 0, 1: 0, 2: 0}
 
 
 def test_boundary_matrix_column_weights():
@@ -51,13 +51,13 @@ def test_single_pixel_homology_frozen():
     t = boundary_matrices(build_cubical(BinaryImage.from_rows([[1]])))
     assert t.d1.rank() == 3
     assert t.d2.rank() == 1
-    assert betti(from_truncated(t)) == {0: 1, 1: 0, 2: 0}
+    assert betti(t) == {0: 1, 1: 0, 2: 0}
 
 
 def test_ring_homology_frozen():
     ring = BinaryImage.from_rows([[1, 1, 1], [1, 0, 1], [1, 1, 1]])
     t = boundary_matrices(build_cubical(ring))
-    assert betti(from_truncated(t)) == {0: 1, 1: 1, 2: 0}
+    assert betti(t) == {0: 1, 1: 1, 2: 0}
 
 
 def test_betti_against_oracle_on_random_images():
@@ -66,7 +66,7 @@ def test_betti_against_oracle_on_random_images():
         img = random_image(rng.randint(2, 9), rng.randint(2, 9), rng.random(), rng.randint(0, 10**9))
         t = boundary_matrices(build_cubical(img))
         want = oracle.betti_from_matrices(t.dims(), t.d1.to_rows(), t.d2.to_rows())
-        got = betti(from_truncated(t))
+        got = betti(t)
         assert (got[0], got[1], got[2]) == want
         # Euler characteristic agrees with the alternating Betti sum.
         assert t.c0 - t.c1 + t.c2 == got[0] - got[1] + got[2]

@@ -6,11 +6,10 @@ from morsereduce.complexes import (
     BoundaryViolation,
     FGChainComplex,
     ReductionTriple,
-    from_truncated,
     verify_reduction,
 )
 from morsereduce.cubical import boundary_matrices, build_cubical
-from morsereduce.gf2 import Gf2Matrix, NotNilpotent
+from morsereduce.gf2 import Gf2Matrix, NotNilpotent, hstack, join4, vstack
 from morsereduce.image import random_image
 from morsereduce.perturbation import (
     DecompositionFailure,
@@ -22,7 +21,7 @@ from morsereduce.perturbation import (
     nilpotency_bound,
     vf_reduction_via_bpl,
 )
-from morsereduce.reduction import hexagonal_reduce, reorder
+from morsereduce.reduction import SplitComplex, hexagonal_reduce, reorder
 from morsereduce.vectorfield import rs_algorithm, sort_by_lambda
 
 
@@ -41,7 +40,7 @@ def identity_triple(cx):
 
 
 def test_perturbation_must_square_to_zero():
-    base = from_truncated(image_complex(4, 4, 0.8, 2))
+    base = image_complex(4, 4, 0.8, 2)
     # Flipping a single entry of the edge boundary breaks d(1) d(2) = 0
     # whenever the image has at least one square.
     d1 = base.d(1)
@@ -58,13 +57,13 @@ def test_perturbation_must_square_to_zero():
 
 
 def test_perturbation_rejects_wrong_shapes():
-    base = from_truncated(image_complex(4, 4, 0.8, 2))
+    base = image_complex(4, 4, 0.8, 2)
     with pytest.raises(ValueError):
         Perturbation(base, {1: Gf2Matrix.zeros(1, 1)})
 
 
 def test_zero_perturbation_keeps_the_differential():
-    base = from_truncated(image_complex(5, 5, 0.5, 7))
+    base = image_complex(5, 5, 0.5, 7)
     p = Perturbation(base, {})
     for k in base.degrees():
         assert p.perturbed.d(k) == base.d(k)
@@ -145,7 +144,7 @@ def test_bpl_with_zero_perturbation_reproduces_the_reduction():
 def test_bpl_requires_base_complexes_to_agree():
     t = image_complex(4, 4, 0.7, 5)
     _, (_, triple) = reduction_of(t)
-    other = from_truncated(image_complex(4, 4, 0.3, 6))
+    other = image_complex(4, 4, 0.3, 6)
     with pytest.raises(ValueError):
         bpl(triple, Perturbation(other, {}), 1)
 
@@ -185,3 +184,30 @@ def test_vf_route_on_degenerate_images():
         alt = vf_reduction_via_bpl(rc)
         assert alt.small.d(1) == small.d1
         assert alt.small.d(2) == small.d2
+
+
+@pytest.mark.parametrize(
+    "width, height, density, seed",
+    [(4, 4, 0.0, 1), (1, 1, 1.0, 0), (6, 6, 0.6, 13), (8, 7, 0.5, 27), (9, 9, 0.8, 4)],
+)
+def test_direct_reduction_is_the_general_one_on_the_pair_split(width, height, density, seed):
+    # Paired edges are A in degree 1, paired vertices B in degree 0, and
+    # the critical cells C; hexagonal_general with u(1) = L^-1 must give
+    # hexagonal_reduce's triple bit for bit.
+    t = image_complex(width, height, density, seed)
+    rc, (small, triple) = reduction_of(t)
+    nv = rc.nv
+    c0, c1, c2 = t.dims()
+    s0, s1 = c0 - nv, c1 - nv
+    split = SplitComplex(rc.reordered, {0: (0, nv, s0), 1: (nv, 0, s1), 2: (0, 0, c2)})
+    linv = rc.L.inv_unit_lower_triangular()
+    general = hexagonal_general(split, {1: linv})
+    assert general.big == triple.big and general.small == small
+    for k in range(-1, 4):
+        assert general.f(k) == triple.f(k)
+        assert general.g(k) == triple.g(k)
+        assert general.h(k) == triple.h(k)
+    assert triple.f(0) == hstack(rc.S.mul(linv), Gf2Matrix.identity(s0))
+    assert triple.g(1) == vstack(linv.mul(rc.T), Gf2Matrix.identity(s1))
+    zeros = Gf2Matrix.zeros
+    assert triple.h(0) == join4(linv, zeros(nv, s0), zeros(s1, nv), zeros(s1, s0))

@@ -4,10 +4,11 @@ import random
 
 import pytest
 
-from morsereduce.complexes import TruncatedComplex, betti, from_truncated, verify_reduction
+from morsereduce.complexes import TruncatedComplex, betti, verify_reduction
 from morsereduce.cubical import boundary_matrices, build_cubical
 from morsereduce.gf2 import Gf2Matrix
 from morsereduce.image import random_image
+from morsereduce.pipeline import reduce_pipeline
 from morsereduce.reduction import TriangularityViolation, hexagonal_reduce, reorder
 from morsereduce.vectorfield import rs_algorithm, sort_by_lambda
 
@@ -102,13 +103,13 @@ def test_reduced_complex_has_equal_homology():
     for seed in (4, 9, 14):
         t = image_complex(8, 8, 0.6, seed)
         small, _ = hexagonal_reduce(reorder_of(t))
-        assert betti(from_truncated(small)) == betti(from_truncated(t))
+        assert betti(small) == betti(t)
         expected = betti_from_matrices(
             {0: t.c0, 1: t.c1, 2: t.c2},
             [[t.d1.get(i, j) for j in range(t.c1)] for i in range(t.c0)],
             [[t.d2.get(i, j) for j in range(t.c2)] for i in range(t.c1)],
         )
-        got = betti(from_truncated(small))
+        got = betti(small)
         assert (got[0], got[1], got[2]) == expected
 
 
@@ -133,3 +134,23 @@ def test_empty_image_reduces_to_nothing():
     small, triple = hexagonal_reduce(rc)
     assert small.dims() == (0, 0, 0)
     assert verify_reduction(triple).ok
+
+
+def test_fast_pipeline_forms_no_unread_product(monkeypatch):
+    # Fast mode reads no f, g or h, so L^-1 T (which feeds only g) is never
+    # formed, and D1 . D2 = 0 is not re-checked on matrices already checked.
+    img = random_image(24, 24, 0.5, 11)
+    shapes = []
+    mul = Gf2Matrix.mul
+
+    def counting_mul(a, b):
+        shapes.append((a.rows, a.cols, b.cols))
+        return mul(a, b)
+
+    monkeypatch.setattr(Gf2Matrix, "mul", counting_mul)
+    res = reduce_pipeline(img, fast=True)
+    monkeypatch.undo()
+    nv, s0, s1 = res.nv, res.reduced.c0, res.reduced.c1
+    assert nv > 0 and s1 > 0 and s0 != nv  # L^-1 T has a shape of its own
+    assert (nv, nv, s1) not in shapes
+    assert shapes.count(res.original.dims()) <= 3
