@@ -63,7 +63,11 @@ class FGChainComplex:
                     f"d({k}) is {m.rows}x{m.cols}, expected {self.dim(k - 1)}x{self.dim(k)}"
                 )
             self._d[k] = m
-        for k in range(lo + 1, hi):
+        self.check_boundaries()
+
+    def check_boundaries(self) -> None:
+        """Raise BoundaryViolation unless d(k) . d(k+1) = 0 in every degree."""
+        for k in range(self.lo + 1, self.hi):
             if not self.d(k).mul(self.d(k + 1)).is_zero():
                 raise BoundaryViolation(f"d({k}) . d({k + 1}) != 0")
 
@@ -129,6 +133,7 @@ class TruncatedComplex(FGChainComplex):
 
 def betti(c: FGChainComplex) -> dict[int, int]:
     """Betti numbers over GF(2): dim(k) - rank d(k) - rank d(k+1) per degree."""
+    c.check_boundaries()
     ranks = {k: c.d(k).rank() for k in range(c.lo, c.hi + 2)}
     out = {}
     for k in c.degrees():

@@ -75,7 +75,7 @@ def boundary_matrices(cx: CubicalComplex) -> TruncatedComplex:
 
     D1[v][e] = 1 iff v is an endpoint of e; D2[e][s] = 1 iff e is a side of s.
     The result is the [0, 2] window of an FGChainComplex, whose constructor
-    checks D1 . D2 = 0 once; it is passed on as it is, never rebuilt.
+    checks D1 . D2 = 0; it is passed on as it is, never rebuilt.
     """
     c0, c1, c2 = cx.counts()
     d1_bits = [0] * c0

@@ -203,7 +203,8 @@ def hexagonal_reduce(rc: ReorderedComplex) -> tuple[TruncatedComplex, ReductionT
     triple from the reordered complex onto it. D1 . D2 = 0 forces the
     paired rows of D2 to equal L^-1 T D2', which is why dropping them is a
     chain map. The triple's identities are checked by verify_reduction.
-    It is the elimination of rc.split with u(1) = L^-1.
+    It re-checks D1 . D2 = 0, then eliminates rc.split with u(1) = L^-1.
     """
+    rc.reordered.check_boundaries()
     triple = _eliminate(rc.split, {1: rc.L.inv_unit_lower_triangular()})
     return triple.small, triple
