@@ -16,70 +16,61 @@ import csv
 import json
 import os
 import sys
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 
 from .complexes import BoundaryViolation, betti
+from .cubical import boundary_matrices, build_cubical
 from .gf2 import parse_matrix_text
-from .image import BinaryImage, NetpbmError, load_image, random_image
-from .pipeline import CHECK_KEYS, STAGE_KEYS, reduce_pipeline, report_dict
+from .image import BinaryImage, NetpbmError, count_components, load_image, random_image
+from .pipeline import CHECKS, STAGE_KEYS, PipelineResult, reduce_pipeline, report_dict
 from .vectorfield import check_admissible, format_dvf, rs_algorithm
 
 __all__ = ["main", "main_entry"]
 
-_BATTERY = (
-    "boundary",
-    "dvf",
-    "triangular",
-    "reduction_axioms",
-    "bpl_match",
-    "nilpotency",
-    "betti_equal",
-    "betti0_components",
-    "betti2_zero",
-)
+# Checks that verify runs on a pipeline result, after the pipeline's CHECKS.
+_RESULT_CHECKS = {
+    "betti_equal": lambda res: res.betti_original == res.betti_reduced,
+    "betti0_components": lambda res: res.betti_original[0] == res.components,
+    "betti2_zero": lambda res: res.betti_original[2] == 0,
+}
 
 
-def _thread_count() -> int:
+def _map_jobs(fn: Callable, jobs: list) -> list:
+    """fn of each job, in job order; in a process pool if MORSEREDUCE_THREADS > 1."""
     raw = os.environ.get("MORSEREDUCE_THREADS", "1")
     try:
-        n = int(raw)
+        threads = int(raw)
     except ValueError:
         raise ValueError(f"MORSEREDUCE_THREADS must be an integer, got {raw!r}")
-    return max(1, n)
-
-
-def _no_reduce_report(img: BinaryImage) -> dict:
-    from .cubical import boundary_matrices, build_cubical
-    from .image import count_components
-
-    t = boundary_matrices(build_cubical(img))
-    b = betti(t)
-    checks = dict.fromkeys(CHECK_KEYS)
-    checks["boundary"] = t.d1.mul(t.d2).is_zero()
-    dims = {"c0": t.c0, "c1": t.c1, "c2": t.c2}
-    return {
-        "original": dims,
-        "nv": 0,
-        "reduced": dict(dims),
-        "betti_original": [b[k] for k in (0, 1, 2)],
-        "betti_reduced": [b[k] for k in (0, 1, 2)],
-        "components": count_components(img),
-        "checks": checks,
-        "timings_ms": {},
-    }
+    if threads > 1 and jobs:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, jobs))
+    return [fn(job) for job in jobs]
 
 
 def _cmd_homology(args: argparse.Namespace) -> int:
     img = load_image(args.image, args.threshold)
     if args.no_reduce:
-        report = _no_reduce_report(img)
+        original = boundary_matrices(build_cubical(img))
+        b = betti(original)
+        result = PipelineResult(
+            image=img,
+            components=count_components(img),
+            original=original,
+            vector_field=None,
+            reordered=None,
+            reduced=original,
+            triple=None,
+            betti_original=b,
+            betti_reduced=b,
+            checks={"boundary": original.d1.mul(original.d2).is_zero()},
+        )
     else:
         result = reduce_pipeline(img, fast=args.fast)
-        report = report_dict(result)
-    json.dump(report, sys.stdout, indent=2)
+    json.dump(report_dict(result), sys.stdout, indent=2)
     sys.stdout.write("\n")
-    failed = [k for k, v in report["checks"].items() if v is False]
-    return 1 if failed else 0
+    return 0 if result.ok else 1
 
 
 def _cmd_dvf(args: argparse.Namespace) -> int:
@@ -97,10 +88,8 @@ def _cmd_dvf(args: argparse.Namespace) -> int:
 def _battery_one(img: BinaryImage) -> dict[str, bool]:
     """Run the full pipeline on one image and flatten every check to a bool."""
     res = reduce_pipeline(img, fast=False)
-    out = {k: bool(res.checks.get(k)) for k in CHECK_KEYS}
-    out["betti_equal"] = res.betti_original == res.betti_reduced
-    out["betti0_components"] = res.betti_original[0] == res.components
-    out["betti2_zero"] = res.betti_original[2] == 0
+    out = {k: bool(res.checks.get(k)) for k in CHECKS}
+    out.update((k, check(res)) for k, check in _RESULT_CHECKS.items())
     return out
 
 
@@ -119,17 +108,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             (args.size[0], args.size[1], args.density, args.seed + i)
             for i in range(args.random)
         ]
-        threads = _thread_count()
-        if threads > 1:
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(_battery_random, jobs))
-        else:
-            results = [_battery_random(j) for j in jobs]
+        results = _map_jobs(_battery_random, jobs)
     else:
         raise ValueError("verify needs an image path or --random N")
     total = len(results)
     all_ok = True
-    for name in _BATTERY:
+    for name in [*CHECKS, *_RESULT_CHECKS]:
         passed = sum(1 for r in results if r[name])
         print(f"{name}: {passed}/{total}")
         all_ok = all_ok and passed == total
@@ -165,14 +149,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         (i, args.size[0], args.size[1], args.density, args.seed + i, args.fast)
         for i in range(args.trials)
     ]
-    threads = _thread_count()
-    if threads > 1 and jobs:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            for row in pool.map(_bench_row, jobs):
-                writer.writerow(row)
-    else:
-        for job in jobs:
-            writer.writerow(_bench_row(job))
+    writer.writerows(_map_jobs(_bench_row, jobs))
     return 0
 
 

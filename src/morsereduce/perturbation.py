@@ -18,7 +18,6 @@ differential into the real one. Both routes must agree bit for bit.
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -328,10 +327,12 @@ def vf_reduction_via_bpl(rc: ReorderedComplex) -> ReductionTriple:
     the trivial reduction across recovers the elimination reduction: its
     small differentials match hexagonal_reduce bit for bit.
 
-    delta1 h0 has the strictly lower triangular L + I in its only nonzero
-    diagonal block, so exponent nv + 1 always annihilates it; that tight
-    bound is asserted, and the looser nv + 2 is retried with a warning if
-    it somehow does not (never observed).
+    delta1 h0 is [[L + I, 0], [S, 0]], so its m-th power is
+    [[(L + I)^m, 0], [S (L + I)^(m-1), 0]]. L + I is strictly lower
+    triangular of size nv, so (L + I)^nv = 0 and exponent nv + 1
+    annihilates delta1 h0. A larger exponent annihilates it exactly when
+    nv + 1 does, so no looser bound is worth a retry: bpl asserts nv + 1
+    and raises NotNilpotent if it fails.
     """
     c0, c1, c2 = rc.original.dims()
     nv = rc.nv
@@ -355,11 +356,4 @@ def vf_reduction_via_bpl(rc: ReorderedComplex) -> ReductionTriple:
     }
     trivial = ReductionTriple(base, crit, f, g, h)
     delta = {1: rc.reordered.d1 + toy, 2: rc.reordered.d2}
-    p = Perturbation(base, delta)
-    try:
-        return bpl(trivial, p, nv + 1)
-    except NotNilpotent:
-        warnings.warn(
-            "tight nilpotency bound nv+1 failed; retrying with nv+2", RuntimeWarning
-        )
-        return bpl(trivial, p, nv + 2)
+    return bpl(trivial, Perturbation(base, delta), nv + 1)

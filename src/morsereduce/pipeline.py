@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Any, Callable
 
 from .complexes import ReductionTriple, TruncatedComplex, betti, verify_reduction
 from .cubical import build_cubical, boundary_matrices
@@ -38,22 +39,34 @@ STAGE_KEYS = (
     "total",
 )
 
-# Order of the pipeline's checks in reports; fast mode reports the skipped
-# ones as None.
-CHECK_KEYS = ("dvf", "triangular", "boundary", "reduction_axioms", "bpl_match", "nilpotency")
+# The pipeline's checks in report order, each mapped to the timing stage
+# that runs it. Fast mode skips exactly the checks that own a stage and
+# reports them as None; boundary and triangular own none and always run,
+# untimed, right after build and reorder.
+CHECKS = {
+    "dvf": "dvf_check",
+    "triangular": None,
+    "boundary": None,
+    "reduction_axioms": "verify_reduction",
+    "bpl_match": "bpl_route",
+    "nilpotency": "nilpotency",
+}
 
 
 @dataclass
 class PipelineResult:
-    """Everything one image run produces: complexes, maps, checks, timings."""
+    """Everything one image run produces: complexes, maps, checks, timings.
+
+    A run that does not reduce has no vector field, reordering or triple.
+    """
 
     image: BinaryImage
     components: int
     original: TruncatedComplex
-    vector_field: DiscreteVectorField
-    reordered: ReorderedComplex
+    vector_field: DiscreteVectorField | None
+    reordered: ReorderedComplex | None
     reduced: TruncatedComplex
-    triple: ReductionTriple
+    triple: ReductionTriple | None
     betti_original: dict[int, int]
     betti_reduced: dict[int, int]
     checks: dict[str, bool | None] = field(default_factory=dict)
@@ -61,7 +74,7 @@ class PipelineResult:
 
     @property
     def nv(self) -> int:
-        return self.reordered.nv
+        return 0 if self.reordered is None else self.reordered.nv
 
     @property
     def ok(self) -> bool:
@@ -71,78 +84,43 @@ class PipelineResult:
 def reduce_pipeline(img: BinaryImage, fast: bool = False) -> PipelineResult:
     """Run the whole chain on one image.
 
-    With fast=True the admissibility re-check, the reduction axioms, the
-    nilpotency power, and the perturbation-lemma cross-check are skipped
-    and reported as None; constructions still validate their own
+    With fast=True the checks that own a stage in CHECKS (admissibility,
+    reduction axioms, nilpotency, perturbation-lemma cross-check) are
+    skipped and reported as None; constructions still validate their own
     invariants (boundary conditions, triangularity).
     """
     timings: dict[str, float] = {}
     checks: dict[str, bool | None] = {}
     t_start = time.perf_counter()
 
-    def clock(key: str, start: float) -> None:
-        timings[key] = (time.perf_counter() - start) * 1000.0
-
-    t0 = time.perf_counter()
-    components = count_components(img)
-    clock("components", t0)
-
-    t0 = time.perf_counter()
-    original = boundary_matrices(build_cubical(img))
-    clock("build", t0)
-    checks["boundary"] = original.d1.mul(original.d2).is_zero()
-
-    t0 = time.perf_counter()
-    vf = rs_algorithm(original.d1)
-    clock("dvf", t0)
-
-    if fast:
-        checks["dvf"] = None
-    else:
+    def timed(stage: str, fn: Callable[[], Any]) -> Any:
         t0 = time.perf_counter()
-        checks["dvf"] = check_admissible(original.d1, vf).ok
-        clock("dvf_check", t0)
+        out = fn()
+        timings[stage] = (time.perf_counter() - t0) * 1000.0
+        return out
 
-    t0 = time.perf_counter()
-    rc = reorder(original, sort_by_lambda(vf))
-    clock("reorder", t0)
+    def check(name: str, fn: Callable[[], bool]) -> None:
+        stage = CHECKS[name]
+        if stage is None:
+            checks[name] = fn()
+        else:
+            checks[name] = None if fast else timed(stage, fn)
+
+    components = timed("components", lambda: count_components(img))
+    original = timed("build", lambda: boundary_matrices(build_cubical(img)))
+    check("boundary", lambda: original.d1.mul(original.d2).is_zero())
+    vf = timed("dvf", lambda: rs_algorithm(original.d1))
+    check("dvf", lambda: check_admissible(original.d1, vf).ok)
+    rc = timed("reorder", lambda: reorder(original, sort_by_lambda(vf)))
     # reorder raises TriangularityViolation otherwise, so reaching here
     # means the paired block is unit lower triangular.
-    checks["triangular"] = rc.L.is_lower_unitriangular()
-
-    t0 = time.perf_counter()
-    reduced, triple = hexagonal_reduce(rc)
-    clock("reduce", t0)
-
-    if fast:
-        checks["reduction_axioms"] = None
-    else:
-        t0 = time.perf_counter()
-        checks["reduction_axioms"] = verify_reduction(triple).ok
-        clock("verify_reduction", t0)
-
-    t0 = time.perf_counter()
-    betti_orig = betti(original)
-    clock("betti_original", t0)
-    t0 = time.perf_counter()
-    betti_red = betti(reduced)
-    clock("betti_reduced", t0)
-
-    if fast:
-        checks["nilpotency"] = None
-        checks["bpl_match"] = None
-    else:
-        t0 = time.perf_counter()
-        shifted = rc.L + Gf2Matrix.identity(rc.nv)
-        checks["nilpotency"] = shifted.pow(rc.nv).is_zero()
-        clock("nilpotency", t0)
-
-        t0 = time.perf_counter()
-        alt = vf_reduction_via_bpl(rc)
-        checks["bpl_match"] = (
-            alt.small.d(1) == reduced.d1 and alt.small.d(2) == reduced.d2
-        )
-        clock("bpl_route", t0)
+    check("triangular", rc.L.is_lower_unitriangular)
+    reduced, triple = timed("reduce", lambda: hexagonal_reduce(rc))
+    check("reduction_axioms", lambda: verify_reduction(triple).ok)
+    betti_orig = timed("betti_original", lambda: betti(original))
+    betti_red = timed("betti_reduced", lambda: betti(reduced))
+    check("nilpotency", lambda: (rc.L + Gf2Matrix.identity(rc.nv)).pow(rc.nv).is_zero())
+    check("bpl_match", lambda: vf_reduction_via_bpl(rc).small == reduced)
 
     timings["total"] = (time.perf_counter() - t_start) * 1000.0
     return PipelineResult(
@@ -177,6 +155,6 @@ def report_dict(res: PipelineResult) -> dict:
         "betti_original": [res.betti_original[k] for k in (0, 1, 2)],
         "betti_reduced": [res.betti_reduced[k] for k in (0, 1, 2)],
         "components": res.components,
-        "checks": {key: res.checks.get(key) for key in CHECK_KEYS},
+        "checks": {key: res.checks.get(key) for key in CHECKS},
         "timings_ms": {k: res.timings_ms[k] for k in STAGE_KEYS if k in res.timings_ms},
     }

@@ -4,10 +4,26 @@ import json
 
 import pytest
 
-from morsereduce import cli
+from morsereduce import cli, pipeline
+from morsereduce.verification import VerificationReport
 
 SNAKE_PBM = "P1\n3 3\n1 1 0\n0 1 0\n0 1 1\n"
 RING_PBM = "P1\n3 3\n1 1 1\n1 0 1\n1 1 1\n"
+TWO_DOTS_PBM = "P1\n3 1\n1 0 1\n"
+
+# The lines of `verify`, in print order: the pipeline's checks, then the
+# checks on its result.
+BATTERY = [
+    "dvf",
+    "triangular",
+    "boundary",
+    "reduction_axioms",
+    "bpl_match",
+    "nilpotency",
+    "betti_equal",
+    "betti0_components",
+    "betti2_zero",
+]
 
 CHECK_KEYS = {"dvf", "triangular", "boundary", "reduction_axioms", "bpl_match", "nilpotency"}
 REPORT_KEYS = {
@@ -26,6 +42,14 @@ def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="ascii")
     return str(path)
+
+
+def untimed(csv_text):
+    """CSV lines with each timing cell reduced to whether it is filled."""
+    return [
+        cells[:8] + [cell != "" for cell in cells[8:]]
+        for cells in (line.split(",") for line in csv_text.splitlines())
+    ]
 
 
 def run(capsys, argv):
@@ -72,15 +96,45 @@ def test_homology_fast_skips_reverification(tmp_path, capsys):
 
 
 def test_homology_no_reduce_mirrors_original(tmp_path, capsys):
+    cases = [
+        (RING_PBM, {"c0": 16, "c1": 24, "c2": 8}, [1, 1, 0], 1),
+        (TWO_DOTS_PBM, {"c0": 8, "c1": 8, "c2": 2}, [2, 0, 0], 2),
+    ]
+    for text, dims, betti, components in cases:
+        path = write(tmp_path, "image.pbm", text)
+        code, out, _ = run(capsys, ["homology", path, "--no-reduce"])
+        assert code == 0
+        expected = {
+            "original": dims,
+            "nv": 0,
+            "reduced": dims,
+            "betti_original": betti,
+            "betti_reduced": betti,
+            "components": components,
+            "checks": {
+                "dvf": None,
+                "triangular": None,
+                "boundary": True,
+                "reduction_axioms": None,
+                "bpl_match": None,
+                "nilpotency": None,
+            },
+            "timings_ms": {},
+        }
+        assert out == json.dumps(expected, indent=2) + "\n"
+
+
+def test_homology_reports_a_failed_check_with_exit_one(tmp_path, capsys, monkeypatch):
+    failing = VerificationReport()
+    failing.add("f_g_identity", False, 0)
+    monkeypatch.setattr(pipeline, "verify_reduction", lambda triple: failing)
     path = write(tmp_path, "ring.pbm", RING_PBM)
-    code, out, _ = run(capsys, ["homology", path, "--no-reduce"])
-    report = json.loads(out)
+    code, out, _ = run(capsys, ["homology", path])
+    assert code == 1
+    assert json.loads(out)["checks"]["reduction_axioms"] is False
+    code, out, _ = run(capsys, ["homology", path, "--fast"])
     assert code == 0
-    assert report["nv"] == 0
-    assert report["reduced"] == report["original"]
-    assert report["betti_original"] == [1, 1, 0]
-    assert report["checks"]["boundary"] is True
-    assert report["checks"]["reduction_axioms"] is None
+    assert json.loads(out)["checks"]["reduction_axioms"] is None
 
 
 def test_homology_missing_file_is_a_usage_error(tmp_path, capsys):
@@ -123,7 +177,7 @@ def test_verify_single_image_prints_the_battery(tmp_path, capsys):
     code, out, err = run(capsys, ["verify", path])
     assert code == 0 and err == ""
     lines = out.splitlines()
-    assert lines == [f"{name}: 1/1" for name in cli._BATTERY]
+    assert lines == [f"{name}: 1/1" for name in BATTERY]
 
 
 def test_verify_random_batch(capsys):
@@ -132,7 +186,7 @@ def test_verify_random_batch(capsys):
         ["verify", "--random", "3", "--size", "6", "6", "--density", "0.6", "--seed", "9"],
     )
     assert code == 0
-    assert out.splitlines() == [f"{name}: 3/3" for name in cli._BATTERY]
+    assert out.splitlines() == [f"{name}: 3/3" for name in BATTERY]
 
 
 def test_verify_random_batch_in_a_process_pool(capsys, monkeypatch):
@@ -141,7 +195,7 @@ def test_verify_random_batch_in_a_process_pool(capsys, monkeypatch):
         capsys, ["verify", "--random", "2", "--size", "5", "5", "--seed", "4"]
     )
     assert code == 0
-    assert out.splitlines() == [f"{name}: 2/2" for name in cli._BATTERY]
+    assert out.splitlines() == [f"{name}: 2/2" for name in BATTERY]
 
 
 def test_verify_rejects_ambiguous_input(tmp_path, capsys):
@@ -154,7 +208,7 @@ def test_verify_rejects_ambiguous_input(tmp_path, capsys):
 
 def test_verify_reports_failures_with_exit_one(tmp_path, capsys, monkeypatch):
     path = write(tmp_path, "ring.pbm", RING_PBM)
-    broken = {name: True for name in cli._BATTERY}
+    broken = {name: True for name in BATTERY}
     broken["betti_equal"] = False
     monkeypatch.setattr(cli, "_battery_one", lambda img: broken)
     code, out, _ = run(capsys, ["verify", path])
@@ -162,11 +216,9 @@ def test_verify_reports_failures_with_exit_one(tmp_path, capsys, monkeypatch):
     assert "betti_equal: 0/1" in out.splitlines()
 
 
-def test_bench_writes_csv_rows(capsys):
-    code, out, _ = run(
-        capsys,
-        ["bench", "--size", "8", "8", "--trials", "2", "--seed", "3", "--fast"],
-    )
+def test_bench_writes_csv_rows(capsys, monkeypatch):
+    argv = ["bench", "--size", "8", "8", "--trials", "2", "--seed", "3", "--fast"]
+    code, out, _ = run(capsys, argv)
     assert code == 0
     lines = out.splitlines()
     header = lines[0].split(",")
@@ -183,6 +235,12 @@ def test_bench_writes_csv_rows(capsys):
     skipped = {"dvf_check", "verify_reduction", "nilpotency", "bpl_route"}
     for key, cell in zip(cli.STAGE_KEYS, row[8:]):
         assert (cell == "") == (key in skipped)
+    # A process pool writes the same rows in the same order; only the
+    # values of the timing cells differ.
+    monkeypatch.setenv("MORSEREDUCE_THREADS", "2")
+    code, pooled, _ = run(capsys, argv)
+    assert code == 0
+    assert untimed(pooled) == untimed(out)
 
 
 def test_bench_with_zero_trials_prints_only_the_header(capsys):
