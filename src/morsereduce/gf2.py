@@ -164,9 +164,9 @@ class Gf2Matrix:
         for word in self.bits:
             acc = 0
             while word:
-                low = word & -word
-                acc ^= obits[low.bit_length() - 1]
-                word ^= low
+                j = word.bit_length() - 1
+                acc ^= obits[j]
+                word ^= 1 << j
             out.append(acc)
         return Gf2Matrix._raw(self.rows, other.cols, tuple(out))
 
@@ -178,9 +178,9 @@ class Gf2Matrix:
         for i, word in enumerate(self.bits):
             flag = 1 << i
             while word:
-                low = word & -word
-                out[low.bit_length() - 1] |= flag
-                word ^= low
+                j = word.bit_length() - 1
+                out[j] |= flag
+                word ^= 1 << j
         return Gf2Matrix._raw(self.cols, self.rows, tuple(out))
 
     def pow(self, k: int) -> Gf2Matrix:
@@ -248,9 +248,9 @@ class Gf2Matrix:
             acc = 1 << i
             below = word ^ (1 << i)
             while below:
-                low = below & -below
-                acc ^= inv[low.bit_length() - 1]
-                below ^= low
+                j = below.bit_length() - 1
+                acc ^= inv[j]
+                below ^= 1 << j
             inv.append(acc)
         return Gf2Matrix._raw(self.rows, self.rows, tuple(inv))
 
@@ -274,9 +274,9 @@ class Gf2Matrix:
             rest = word ^ (1 << pc)
             acc = 0
             while rest:
-                low = rest & -rest
-                acc |= flag[low.bit_length() - 1]
-                rest ^= low
+                j = rest.bit_length() - 1
+                acc |= flag[j]
+                rest ^= 1 << j
             out[pc] = acc
         return Gf2Matrix._raw(nc, len(free), tuple(out))
 
@@ -319,9 +319,9 @@ class Gf2Matrix:
         for i, word in enumerate(self.bits):
             acc = 0
             while word:
-                low = word & -word
-                acc |= 1 << cmap[low.bit_length() - 1]
-                word ^= low
+                j = word.bit_length() - 1
+                acc |= 1 << cmap[j]
+                word ^= 1 << j
             out[row_perm.image[i]] = acc
         return Gf2Matrix._raw(self.rows, self.cols, tuple(out))
 
@@ -390,10 +390,10 @@ def _rref(words: Iterable[int], width: int) -> tuple[dict[int, int], int]:
     for col in sorted(pivots, reverse=True):
         w = pivots[col]
         above = (w & mask) ^ (1 << col)
-        while above:
-            low = above & -above
-            w ^= pivots[low.bit_length() - 1]
-            above ^= low
+        while above:  # every pivot row is already reduced, so any order works
+            j = above.bit_length() - 1
+            w ^= pivots[j]
+            above ^= 1 << j
         pivots[col] = w
     return pivots, dependent
 

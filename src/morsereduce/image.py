@@ -44,15 +44,15 @@ class BinaryImage:
     def from_rows(cls, rows: list[list[int]]) -> BinaryImage:
         height = len(rows)
         width = len(rows[0]) if rows else 0
-        bits = 0
-        for r, row in enumerate(rows):
+        digits = bytearray()
+        for row in rows:
             if len(row) != width:
                 raise ValueError("ragged rows")
-            for c, v in enumerate(row):
+            for v in row:
                 if v not in (0, 1):
                     raise ValueError(f"pixel {v!r} is not 0 or 1")
-                bits |= v << (r * width + c)
-        return cls(width, height, bits)
+                digits.append(0x30 + v)
+        return cls(width, height, _from_digits(digits))
 
     def get(self, r: int, c: int) -> int:
         if not (0 <= r < self.height and 0 <= c < self.width):
@@ -63,11 +63,11 @@ class BinaryImage:
         """Foreground pixel coordinates in row-major order."""
         out = []
         bits = self.bits
-        while bits:
-            low = bits & -bits
-            idx = low.bit_length() - 1
-            out.append((idx // self.width, idx % self.width))
-            bits ^= low
+        while bits:  # peel from the top, so each step shortens the word
+            idx = bits.bit_length() - 1
+            out.append(divmod(idx, self.width))
+            bits ^= 1 << idx
+        out.reverse()
         return out
 
     def count_foreground(self) -> int:
@@ -75,12 +75,21 @@ class BinaryImage:
 
     def to_pbm(self) -> bytes:
         """Render as plain PBM (P1)."""
-        lines = [b"P1", f"{self.width} {self.height}".encode()]
+        w = self.width
+        pixels = format(self.bits, f"0{w * self.height}b")[::-1]
+        lines = [b"P1", f"{w} {self.height}".encode()]
         for r in range(self.height):
-            lines.append(
-                " ".join(str(self.get(r, c)) for c in range(self.width)).encode()
-            )
+            lines.append(" ".join(pixels[r * w : (r + 1) * w]).encode())
         return b"\n".join(lines) + b"\n"
+
+
+def _from_digits(digits: bytearray) -> int:
+    """The pixel word of row-major ASCII 0/1 digits, pixel 0 first.
+
+    One base-2 conversion of the reversed digits, which is linear in the
+    pixel count; setting one bit per pixel on a growing integer is not.
+    """
+    return int(digits[::-1] or b"0", 2)
 
 
 class _Scanner:
@@ -152,24 +161,22 @@ def parse_pbm(data: bytes) -> BinaryImage:
     s = _Scanner(data)
     magic = s.token()
     width, height = _read_size(s)
-    bits = 0
+    digits = bytearray()
     if magic == b"P1":
-        for idx in range(width * height):
-            bits |= s.bit_token() << idx
+        for _ in range(width * height):
+            digits.append(0x30 + s.bit_token())
     elif magic == b"P4":
         raster = s.start_raster()
         stride = (width + 7) // 8
         if len(raster) < stride * height:
             raise NetpbmError("truncated raster")
+        spec = f"0{8 * stride}b"
         for r in range(height):
-            base = r * stride
-            for c in range(width):
-                byte = raster[base + (c >> 3)]
-                if (byte >> (7 - (c & 7))) & 1:
-                    bits |= 1 << (r * width + c)
+            row = int.from_bytes(raster[r * stride : (r + 1) * stride], "big")
+            digits += format(row, spec)[:width].encode()
     else:
         raise NetpbmError(f"not a PBM file: magic {magic!r}")
-    return BinaryImage(width, height, bits)
+    return BinaryImage(width, height, _from_digits(digits))
 
 
 def parse_pgm(data: bytes, threshold: int = 128) -> BinaryImage:
@@ -183,14 +190,13 @@ def parse_pgm(data: bytes, threshold: int = 128) -> BinaryImage:
     if not 0 < maxval < 65536:
         raise NetpbmError(f"maxval {maxval} out of range")
     count = width * height
-    bits = 0
+    digits = bytearray()
     if magic == b"P2":
-        for idx in range(count):
+        for _ in range(count):
             v = s.int_token("pixel")
             if v > maxval:
                 raise NetpbmError(f"pixel {v} exceeds maxval {maxval}")
-            if v < threshold:
-                bits |= 1 << idx
+            digits.append(0x31 if v < threshold else 0x30)
     else:
         raster = s.start_raster()
         step = 1 if maxval < 256 else 2
@@ -201,9 +207,8 @@ def parse_pgm(data: bytes, threshold: int = 128) -> BinaryImage:
                 v = raster[idx]
             else:
                 v = (raster[2 * idx] << 8) | raster[2 * idx + 1]
-            if v < threshold:
-                bits |= 1 << idx
-    return BinaryImage(width, height, bits)
+            digits.append(0x31 if v < threshold else 0x30)
+    return BinaryImage(width, height, _from_digits(digits))
 
 
 def load_image(path: str, threshold: int = 128) -> BinaryImage:
@@ -265,13 +270,12 @@ def random_image(width: int, height: int, density: float, seed: int) -> BinaryIm
     mask = (1 << 64) - 1
     state = seed & mask
     cut = int(density * (1 << 53))
-    bits = 0
-    for idx in range(width * height):
+    digits = bytearray()
+    for _ in range(width * height):
         state = (state + 0x9E3779B97F4A7C15) & mask
         z = state
         z = ((z ^ (z >> 30)) * 0xBF58476D1F4EE2B9) & mask
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
         z ^= z >> 31
-        if (z >> 11) < cut:
-            bits |= 1 << idx
-    return BinaryImage(width, height, bits)
+        digits.append(0x31 if (z >> 11) < cut else 0x30)
+    return BinaryImage(width, height, _from_digits(digits))

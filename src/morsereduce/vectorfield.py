@@ -67,46 +67,48 @@ def rs_algorithm(m: Gf2Matrix) -> DiscreteVectorField:
     r' with a 1 in column c, so a candidate closes a cycle exactly when
     one of those rows already reaches r; rejected candidates change
     nothing, which lets one ancestor scan per row answer every candidate.
+    The graph is kept as predecessor lists and the scan yields a set, so
+    the work follows the edges, not the width of the matrix.
     """
     col_bits = m.transpose().bits
-    used_cols = 0
-    pred: dict[int, int] = {}  # node -> bitmask of direct predecessors
+    used_cols = bytearray(m.cols)
+    pred: dict[int, list[int]] = {}  # node -> its direct predecessors
     succ: dict[int, list[int]] = {}
     pairs: list[tuple[int, int]] = []
     edges: set[tuple[int, int]] = set()
-    for i in range(m.rows):
-        cand = m.bits[i] & ~used_cols
+    for i, word in enumerate(m.bits):
+        cand = []
+        while word:  # peel from the top, so each step shortens the word
+            c = word.bit_length() - 1
+            word ^= 1 << c
+            if not used_cols[c]:
+                cand.append(c)
         if not cand:
             continue
         # All nodes with a path to i in the current acyclic graph.
-        ancestors = 0
-        frontier = pred.get(i, 0)
-        while frontier:
-            ancestors |= frontier
-            nxt = 0
-            scan = frontier
-            while scan:
-                low = scan & -scan
-                nxt |= pred.get(low.bit_length() - 1, 0)
-                scan ^= low
-            frontier = nxt & ~ancestors
-        self_bit = 1 << i
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            targets = col_bits[low.bit_length() - 1] & ~self_bit
-            if targets & ancestors:
+        ancestors: set[int] = set()
+        stack = list(pred.get(i, ()))
+        while stack:
+            u = stack.pop()
+            if u not in ancestors:
+                ancestors.add(u)
+                stack.extend(pred.get(u, ()))
+        for c in reversed(cand):  # increasing column index
+            targets = []
+            col = col_bits[c] ^ (1 << i)
+            while col:
+                t = col.bit_length() - 1
+                col ^= 1 << t
+                targets.append(t)
+            if not ancestors.isdisjoint(targets):
                 continue  # some target already reaches row i: loop
-            pairs.append((i, low.bit_length() - 1))
-            used_cols |= low
+            pairs.append((i, c))
+            used_cols[c] = 1
             out = succ.setdefault(i, [])
-            while targets:
-                tlow = targets & -targets
-                t = tlow.bit_length() - 1
-                targets ^= tlow
+            for t in reversed(targets):
                 edges.add((i, t))
                 out.append(t)
-                pred[t] = pred.get(t, 0) | self_bit
+                pred.setdefault(t, []).append(i)
             break
     nodes = {i for i, _ in pairs}
     nodes.update(n for e in edges for n in e)
@@ -136,9 +138,9 @@ def check_admissible(m: Gf2Matrix, vf: DiscreteVectorField) -> VerificationRepor
         for r, c in vf.pairs:
             others = col_bits[c] & ~(1 << r)
             while others:
-                low = others & -others
-                expected_edges.add((r, low.bit_length() - 1))
-                others ^= low
+                t = others.bit_length() - 1
+                expected_edges.add((r, t))
+                others ^= 1 << t
     report.add("relation_matches_pairs", set(vf.relation) == expected_edges)
 
     # Kahn's algorithm: the graph is acyclic iff every node gets scheduled.

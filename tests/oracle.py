@@ -23,10 +23,11 @@ def mat_add(a: Matrix, b: Matrix) -> Matrix:
     return [[(x + y) % 2 for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+def mat_mul(a: Matrix, b: Matrix, cols: int | None = None) -> Matrix:
+    """The product a b; ``cols`` gives its width when b has no rows."""
     rows = len(a)
     inner = len(b)
-    cols = len(b[0]) if inner else 0
+    cols = len(b[0]) if inner else cols or 0
     out = zeros(rows, cols)
     for i in range(rows):
         row = a[i]
@@ -43,6 +44,30 @@ def transpose(a: Matrix, cols: int | None = None) -> Matrix:
     if not a:
         return [[] for _ in range(cols or 0)]
     return [list(col) for col in zip(*a)]
+
+
+def permute(a: Matrix, row_image: list[int], col_image: list[int]) -> Matrix:
+    """Entry (i, j) moved to (row_image[i], col_image[j])."""
+    out = zeros(len(a), len(col_image))
+    for i, row in enumerate(a):
+        for j, x in enumerate(row):
+            out[row_image[i]][col_image[j]] = x
+    return out
+
+
+def unit_lower_inverse(a: Matrix) -> Matrix:
+    """Inverse of a unit lower triangular matrix by forward substitution.
+
+    Row i of the inverse x solves a x = I: x[i] = e_i + sum of a[i][j] x[j]
+    over j < i, the minus sign being a plus over GF(2).
+    """
+    n = len(a)
+    x = identity(n)
+    for i in range(n):
+        for j in range(i):
+            if a[i][j]:
+                x[i] = [(u + v) % 2 for u, v in zip(x[i], x[j])]
+    return x
 
 
 def is_zero(a: Matrix) -> bool:
@@ -113,6 +138,57 @@ def inverse(a: Matrix) -> Matrix | None:
     if pivot_cols[:n] != list(range(n)):
         return None
     return [row[n:] for row in reduced]
+
+
+def rs_greedy(a: Matrix, cols: int) -> tuple[list[tuple[int, int]], set[tuple[int, int]], dict[int, int]]:
+    """Greedy admissible pairing: ``(pairs, relation, lambdas)``.
+
+    Rows in increasing order each take the first column, in increasing
+    order, that holds a 1, is not yet taken, and whose induced edges
+    (row -> every other row with a 1 in that column) close no cycle: no
+    such row may already reach the pairing row, which a depth-first
+    search over the edges so far decides. lambdas holds, for each paired
+    row, the edge count of the longest relation path out of it, found by
+    relaxing every edge until nothing changes.
+    """
+    rows = len(a)
+    succ: dict[int, list[int]] = {r: [] for r in range(rows)}
+
+    def reaches(src: int, dst: int) -> bool:
+        seen = set()
+        stack = [src]
+        while stack:
+            u = stack.pop()
+            if u == dst:
+                return True
+            if u not in seen:
+                seen.add(u)
+                stack.extend(succ[u])
+        return False
+
+    taken = [False] * cols
+    pairs = []
+    for i in range(rows):
+        for c in range(cols):
+            if not a[i][c] or taken[c]:
+                continue
+            targets = [r for r in range(rows) if r != i and a[r][c]]
+            if any(reaches(t, i) for t in targets):
+                continue
+            pairs.append((i, c))
+            taken[c] = True
+            succ[i].extend(targets)
+            break
+    relation = {(u, v) for u in succ for v in succ[u]}
+    longest = [0] * rows
+    changed = True
+    while changed:
+        changed = False
+        for u, v in relation:
+            if longest[v] + 1 > longest[u]:
+                longest[u] = longest[v] + 1
+                changed = True
+    return pairs, relation, {r: longest[r] for r, _ in pairs}
 
 
 def betti_from_matrices(dims: tuple[int, int, int], d1: Matrix, d2: Matrix) -> tuple[int, int, int]:

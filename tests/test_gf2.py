@@ -273,6 +273,95 @@ def test_singular_names_the_dependent_row(rows, dependent):
         Gf2Matrix.from_rows(rows).inverse()
 
 
+def sparse_words(rng, rows, cols):
+    """Row words with 0-4 ones each, at random columns below cols."""
+    return [
+        sum(1 << j for j in rng.sample(range(cols), rng.randint(0, min(4, cols))))
+        for _ in range(rows)
+    ]
+
+
+@st.composite
+def kernel_matrices(draw, rows, cols, wide=False):
+    """A rows x cols matrix: sparse rows as wide as cols, or dense small ones.
+
+    Sparse rows come from a drawn seed, so a matrix of a few thousand
+    columns costs hypothesis a handful of draws.
+    """
+    if wide:
+        rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+        return Gf2Matrix(rows, cols, sparse_words(rng, rows, cols))
+    words = draw(st.lists(st.integers(0, (1 << cols) - 1), min_size=rows, max_size=rows))
+    return Gf2Matrix(rows, cols, words)
+
+
+WIDE = st.integers(0, 3000)
+SMALL = st.integers(0, 12)
+
+
+@st.composite
+def kernel_operands(draw):
+    """(a, b) with a.cols == b.rows: one dimension wide and sparse, or all small and dense."""
+    kind = draw(st.sampled_from(["wide_inner", "wide_outer", "dense"]))
+    r = draw(SMALL)
+    if kind == "dense":
+        k, c = draw(SMALL), draw(SMALL)
+    else:
+        wide, narrow = draw(WIDE), draw(st.integers(0, 40))
+        k, c = (wide, narrow) if kind == "wide_inner" else (narrow, wide)
+    sparse = kind != "dense"
+    return draw(kernel_matrices(r, k, sparse)), draw(kernel_matrices(k, c, sparse))
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_operands())
+@example((Gf2Matrix.zeros(0, 5), Gf2Matrix.zeros(5, 3)))
+@example((Gf2Matrix.zeros(4, 0), Gf2Matrix.zeros(0, 6)))
+@example((Gf2Matrix.zeros(3, 2999), Gf2Matrix(2999, 2, [3] * 2999)))
+def test_mul_and_transpose_match_the_textbook_on_wide_sparse_rows(operands):
+    a, b = operands
+    assert a.mul(b).to_rows() == oracle.mat_mul(a.to_rows(), b.to_rows(), b.cols)
+    for m in (a, b):
+        assert m.transpose().to_rows() == oracle.transpose(m.to_rows(), m.cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.tuples(SMALL, WIDE).flatmap(lambda s: kernel_matrices(*s, wide=True)),
+    st.tuples(st.integers(0, 300), SMALL).flatmap(lambda s: kernel_matrices(*s, wide=True)),
+    st.tuples(SMALL, SMALL).flatmap(lambda s: kernel_matrices(*s)),
+), st.integers(0, 2**32 - 1))
+@example(Gf2Matrix.zeros(0, 7), 0)
+@example(Gf2Matrix.zeros(7, 0), 0)
+def test_permute_matches_the_textbook_on_wide_sparse_rows(m, seed):
+    rng = random.Random(seed)
+    rows, cols = list(range(m.rows)), list(range(m.cols))
+    rng.shuffle(rows)
+    rng.shuffle(cols)
+    got = m.permute(Permutation(tuple(rows)), Permutation(tuple(cols)))
+    assert got.to_rows() == oracle.permute(m.to_rows(), rows, cols)
+
+
+@st.composite
+def unit_lower(draw):
+    """Unit lower triangular: 0-4 ones left of the diagonal per row, or dense and small."""
+    if draw(st.booleans()):
+        n = draw(st.integers(0, 300))
+        rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+        below = [sparse_words(rng, 1, i)[0] for i in range(n)]
+    else:
+        n = draw(SMALL)
+        below = [draw(st.integers(0, (1 << i) - 1)) for i in range(n)]
+    return Gf2Matrix(n, n, [word | (1 << i) for i, word in enumerate(below)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(unit_lower())
+@example(Gf2Matrix.identity(0))
+def test_inv_unit_lower_triangular_matches_forward_substitution(m):
+    assert m.inv_unit_lower_triangular().to_rows() == oracle.unit_lower_inverse(m.to_rows())
+
+
 def test_pow_laws():
     rng = random.Random(9)
     m = random_matrix(rng, 5, 5)

@@ -2,7 +2,12 @@
 
 import random
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from morsereduce.cubical import boundary_matrices, build_cubical
 from morsereduce.gf2 import Gf2Matrix
+from morsereduce.image import random_image
 from morsereduce.vectorfield import (
     DiscreteVectorField,
     check_admissible,
@@ -10,6 +15,8 @@ from morsereduce.vectorfield import (
     rs_algorithm,
     sort_by_lambda,
 )
+
+import oracle
 
 
 def random_matrix(rng, rows, cols, density=0.5):
@@ -111,3 +118,25 @@ def test_format_dvf_frozen():
     text = format_dvf(rs_algorithm(m))
     assert text == "0 0 2\n2 2 1\n1 1 0\n0 -> 2\n2 -> 1\n"
     assert format_dvf(rs_algorithm(Gf2Matrix.zeros(2, 2))) == ""
+
+
+def assert_matches_reference_greedy(m):
+    pairs, relation, lambdas = oracle.rs_greedy(m.to_rows(), m.cols)
+    vf = rs_algorithm(m)
+    assert list(vf.pairs) == pairs
+    assert vf.relation == relation
+    assert dict(vf.lambdas) == lambdas
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 16), st.integers(0, 16), st.floats(0.1, 0.6), st.integers(0, 2**32 - 1))
+def test_rs_algorithm_is_the_reference_greedy_on_random_matrices(rows, cols, density, seed):
+    assert_matches_reference_greedy(random_matrix(random.Random(seed), rows, cols, density))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 24), st.integers(0, 24), st.floats(0.1, 0.9), st.integers(0, 2**32 - 1))
+@example(24, 24, 0.6, 7)
+def test_rs_algorithm_is_the_reference_greedy_on_image_boundaries(width, height, density, seed):
+    img = random_image(width, height, density, seed)
+    assert_matches_reference_greedy(boundary_matrices(build_cubical(img)).d1)
