@@ -64,7 +64,8 @@ def _cmd_homology(args: argparse.Namespace) -> int:
             triple=None,
             betti_original=b,
             betti_reduced=b,
-            checks={"boundary": original.d1.mul(original.d2).is_zero()},
+            # boundary_matrices raised BoundaryViolation unless D1 . D2 = 0.
+            checks={"boundary": True},
         )
     else:
         result = reduce_pipeline(img, fast=args.fast)

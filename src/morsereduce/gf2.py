@@ -281,17 +281,17 @@ class Gf2Matrix:
         return Gf2Matrix._raw(nc, len(free), tuple(out))
 
     def nilpotent_series_inverse(self, bound: int) -> Gf2Matrix:
-        """Inverse of (I + self) as the finite sum I + self + ... + self^(bound-1).
+        """Inverse of (I + self) as the finite sum S = I + self + ... + self^(bound-1).
 
         Requires ``self.pow(bound)`` to vanish; raises NotNilpotent otherwise.
-        The inverse identity is re-checked on the result before returning.
+        Over GF(2) the sum telescopes, (I + self) S = I + self^bound, so
+        the inverse identity (I + self) S = I, checked on the result, holds
+        exactly when self^bound = 0. S (I + self) = I is checked as well.
         """
         if self.rows != self.cols:
             raise ValueError(f"series needs a square matrix, got {self.rows}x{self.cols}")
         if bound < 0:
             raise ValueError("negative bound")
-        if not self.pow(bound).is_zero():
-            raise NotNilpotent(f"matrix^{bound} is nonzero")
         n = self.rows
         # Build S(t) = I + n + ... + n^(t-1) by binary splitting:
         # doubling t uses S(2t) = S(t) + n^t S(t), increment uses S(t+1) = S(t) + n^t.
@@ -304,7 +304,9 @@ class Gf2Matrix:
                 total = total + power
                 power = power.mul(self)
         one_plus = self + Gf2Matrix.identity(n)
-        if not (one_plus.mul(total).is_identity() and total.mul(one_plus).is_identity()):
+        if not one_plus.mul(total).is_identity():
+            raise NotNilpotent(f"matrix^{bound} is nonzero")
+        if not total.mul(one_plus).is_identity():
             raise AssertionError("series inverse self-check failed")
         return total
 

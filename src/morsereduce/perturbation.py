@@ -22,7 +22,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .complexes import FGChainComplex, ReductionTriple, verify_reduction
-from .gf2 import Gf2Matrix, NotNilpotent, Singular, hstack, join4, vstack
+from .gf2 import Gf2Matrix, NotNilpotent, Singular, hstack, vstack
 from .reduction import ReorderedComplex, SplitComplex, _eliminate
 from .verification import VerificationError
 
@@ -171,6 +171,7 @@ def hexagonal_general(
     d33 + d31 u d23, and is verified before being returned.
     """
     lo, hi = sc.cx.lo, sc.cx.hi
+    u: dict[int, Gf2Matrix] = {}
     for k in range(lo, hi + 2):
         a_k = sc.split(k)[0]
         b_prev = sc.split(k - 1)[1]
@@ -178,10 +179,6 @@ def hexagonal_general(
             raise NotInvertible(
                 f"degree {k}: A has size {a_k} but B below has size {b_prev}"
             )
-
-    u: dict[int, Gf2Matrix] = {}
-    for k in range(lo, hi + 2):
-        a_k = sc.split(k)[0]
         if a_k == 0:
             continue
         if k not in pivot_inverses:
@@ -322,10 +319,11 @@ def vf_reduction_via_bpl(rc: ReorderedComplex) -> ReductionTriple:
 
     Start from the toy differential that sends each paired edge to its
     paired vertex and nothing else; deleting those pairs is a trivial
-    reduction onto the critical cells. Perturbing the toy differential
-    into the reordered one (delta1 = D1 + toy, delta2 = D2) and pushing
-    the trivial reduction across recovers the elimination reduction: its
-    small differentials match hexagonal_reduce bit for bit.
+    reduction onto the critical cells, which is the block elimination of
+    rc's pair split with u = I and d31 = d23 = 0. Perturbing the toy
+    differential into the reordered one (delta1 = D1 + toy, delta2 = D2)
+    and pushing the trivial reduction across recovers the elimination
+    reduction: complexes and f, g, h match hexagonal_reduce bit for bit.
 
     delta1 h0 is [[L + I, 0], [S, 0]], so its m-th power is
     [[(L + I)^m, 0], [S (L + I)^(m-1), 0]]. L + I is strictly lower
@@ -336,24 +334,9 @@ def vf_reduction_via_bpl(rc: ReorderedComplex) -> ReductionTriple:
     """
     c0, c1, c2 = rc.original.dims()
     nv = rc.nv
-    s0, s1 = c0 - nv, c1 - nv
-    eye = Gf2Matrix.identity(nv)
-    toy = join4(eye, Gf2Matrix.zeros(nv, s1), Gf2Matrix.zeros(s0, nv), Gf2Matrix.zeros(s0, s1))
+    toy = Gf2Matrix(c0, c1, [1 << i for i in range(nv)] + [0] * (c0 - nv))
     base = FGChainComplex(0, 2, {0: c0, 1: c1, 2: c2}, {1: toy})
-    crit = FGChainComplex(0, 2, {0: s0, 1: s1, 2: c2})
-    f = {
-        0: hstack(Gf2Matrix.zeros(s0, nv), Gf2Matrix.identity(s0)),
-        1: hstack(Gf2Matrix.zeros(s1, nv), Gf2Matrix.identity(s1)),
-        2: Gf2Matrix.identity(c2),
-    }
-    g = {
-        0: vstack(Gf2Matrix.zeros(nv, s0), Gf2Matrix.identity(s0)),
-        1: vstack(Gf2Matrix.zeros(nv, s1), Gf2Matrix.identity(s1)),
-        2: Gf2Matrix.identity(c2),
-    }
-    h = {
-        0: join4(eye, Gf2Matrix.zeros(nv, s0), Gf2Matrix.zeros(s1, nv), Gf2Matrix.zeros(s1, s0)),
-    }
-    trivial = ReductionTriple(base, crit, f, g, h)
+    split = SplitComplex(base, {k: rc.split.split(k) for k in base.degrees()})
+    trivial = _eliminate(split, {1: Gf2Matrix.identity(nv)})
     delta = {1: rc.reordered.d1 + toy, 2: rc.reordered.d2}
     return bpl(trivial, Perturbation(base, delta), nv + 1)

@@ -120,7 +120,7 @@ def reduce_pipeline(img: BinaryImage, fast: bool = False) -> PipelineResult:
     betti_orig = timed("betti_original", lambda: betti(original))
     betti_red = timed("betti_reduced", lambda: betti(reduced))
     check("nilpotency", lambda: (rc.L + Gf2Matrix.identity(rc.nv)).pow(rc.nv).is_zero())
-    check("bpl_match", lambda: vf_reduction_via_bpl(rc).small == reduced)
+    check("bpl_match", lambda: vf_reduction_via_bpl(rc) == triple)
 
     timings["total"] = (time.perf_counter() - t_start) * 1000.0
     return PipelineResult(

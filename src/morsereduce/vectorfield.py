@@ -38,22 +38,33 @@ class DiscreteVectorField:
 
 
 def _longest_path_lengths(succ: dict[int, list[int]], nodes: set[int]) -> dict[int, int]:
-    """Edge-count length of the longest path out of each node (graph must be acyclic)."""
+    """Edge-count length of the longest path out of each node.
+
+    Walks depth first, keeping the current path; an edge back onto the
+    path closes a cycle, and a ValueError names it.
+    """
     memo: dict[int, int] = {}
     for start in nodes:
-        stack = [start]
-        while stack:
-            u = stack[-1]
-            if u in memo:
-                stack.pop()
-                continue
-            pending = [v for v in succ.get(u, ()) if v not in memo]
-            if pending:
-                stack.extend(pending)
-            else:
+        if start in memo:
+            continue
+        path = {start: None}  # the nodes of the current path, in order
+        todo = [iter(succ.get(start, ()))]  # their successors left to visit
+        while todo:
+            for v in todo[-1]:
+                if v in memo:
+                    continue
+                if v in path:
+                    on = list(path)
+                    cycle = " -> ".join(map(str, on[on.index(v):] + [v]))
+                    raise ValueError(f"relation graph has a cycle: {cycle}")
+                path[v] = None
+                todo.append(iter(succ.get(v, ())))
+                break
+            else:  # every successor is done
+                u, _ = path.popitem()
+                todo.pop()
                 children = succ.get(u, ())
                 memo[u] = 1 + max(memo[v] for v in children) if children else 0
-                stack.pop()
     return memo
 
 

@@ -156,7 +156,8 @@ def test_perturbation_route_reproduces_the_direct_reduction():
     mandated zero-block pattern on the pipeline reduction, carrying the
     zero perturbation across reproduces the input triple exactly, and the
     vector-field route through the perturbation lemma yields small
-    differentials bit-identical to the direct reduction. Budget 120 s.
+    differentials, and a whole triple (f, g, h included), bit-identical
+    to the direct reduction. Budget 120 s.
     """
     start = time.perf_counter()
     bad = []
@@ -179,8 +180,10 @@ def test_perturbation_route_reproduces_the_direct_reduction():
         alt = vf_reduction_via_bpl(rc)
         if not (alt.small.d(1) == small.d1 and alt.small.d(2) == small.d2):
             bad.append((label, "route mismatch"))
+        elif alt != triple:
+            bad.append((label, "route triple mismatch"))
     elapsed = time.perf_counter() - start
-    detail = f"decompose + zero-delta round trip + route match on 200 images, exact, {elapsed:.1f}s (budget 120s)"
+    detail = f"decompose + zero-delta round trip + route triple match on 200 images, exact, {elapsed:.1f}s (budget 120s)"
     if bad:
         detail += f"; first failures: {bad[:3]}"
     _report(not bad and elapsed < 120, "bpl-machinery", detail)

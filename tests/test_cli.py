@@ -5,6 +5,11 @@ import json
 import pytest
 
 from morsereduce import cli, pipeline
+from morsereduce.complexes import ReductionTriple
+from morsereduce.cubical import boundary_matrices, build_cubical
+from morsereduce.gf2 import Gf2Matrix
+from morsereduce.image import parse_pbm, random_image
+from morsereduce.reduction import hexagonal_reduce
 from morsereduce.verification import VerificationReport
 
 SNAKE_PBM = "P1\n3 3\n1 1 0\n0 1 0\n0 1 1\n"
@@ -135,6 +140,53 @@ def test_homology_reports_a_failed_check_with_exit_one(tmp_path, capsys, monkeyp
     code, out, _ = run(capsys, ["homology", path, "--fast"])
     assert code == 0
     assert json.loads(out)["checks"]["reduction_axioms"] is None
+
+
+def test_bpl_match_compares_the_whole_triple(tmp_path, capsys, monkeypatch):
+    # A route that returns the right small complex but one wrong entry
+    # of h must fail bpl_match.
+    def tampered_route(rc):
+        _, triple = hexagonal_reduce(rc)
+        h0 = triple.h(0)
+        flipped = Gf2Matrix(h0.rows, h0.cols, (h0.bits[0] ^ 1,) + h0.bits[1:])
+        ks = triple.big.degrees()
+        return ReductionTriple(
+            triple.big,
+            triple.small,
+            {k: triple.f(k) for k in ks},
+            {k: triple.g(k) for k in ks},
+            {k: flipped if k == 0 else triple.h(k) for k in ks},
+        )
+
+    monkeypatch.setattr(pipeline, "vf_reduction_via_bpl", tampered_route)
+    res = pipeline.reduce_pipeline(parse_pbm(RING_PBM.encode("ascii")))
+    assert res.checks["bpl_match"] is False
+    path = write(tmp_path, "ring.pbm", RING_PBM)
+    code, out, _ = run(capsys, ["homology", path])
+    assert code == 1
+    assert json.loads(out)["checks"]["bpl_match"] is False
+
+
+def test_homology_no_reduce_forms_the_boundary_product_twice(tmp_path, capsys, monkeypatch):
+    # The constructor and betti each check D1 . D2 = 0; the report
+    # reuses the constructor's result.
+    img = random_image(48, 40, 0.6, 1)
+    dims = boundary_matrices(build_cubical(img)).dims()
+    path = tmp_path / "image.pbm"
+    path.write_bytes(img.to_pbm())
+    calls = []
+    mul = Gf2Matrix.mul
+
+    def counting_mul(a, b):
+        if (a.rows, a.cols, b.cols) == dims:
+            calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(Gf2Matrix, "mul", counting_mul)
+    code, out, _ = run(capsys, ["homology", str(path), "--no-reduce"])
+    assert code == 0
+    assert json.loads(out)["checks"]["boundary"] is True
+    assert len(calls) <= 2
 
 
 def test_homology_missing_file_is_a_usage_error(tmp_path, capsys):

@@ -392,6 +392,33 @@ def test_nilpotent_series_inverse():
         shift.nilpotent_series_inverse(2)
 
 
+@st.composite
+def series_operands(draw):
+    """A square matrix and a bound; half the matrices are strictly lower
+    triangular, so nilpotent of index at most n, and half are arbitrary."""
+    n = draw(st.integers(0, 7))
+    strict = draw(st.booleans())
+    rows = [
+        [draw(st.integers(0, 1)) if j < i or not strict else 0 for j in range(n)]
+        for i in range(n)
+    ]
+    return Gf2Matrix.from_rows(rows, cols=n), draw(st.integers(0, 9))
+
+
+@settings(max_examples=300, deadline=None)
+@given(series_operands())
+@example((Gf2Matrix.zeros(0, 0), 0))
+@example((Gf2Matrix.zeros(3, 3), 0))
+@example((Gf2Matrix.identity(2), 0))
+def test_series_inverse_refuses_exactly_the_non_nilpotent_bounds(operands):
+    m, bound = operands
+    if m.pow(bound).is_zero():
+        assert m.nilpotent_series_inverse(bound) == (m + Gf2Matrix.identity(m.rows)).inverse()
+    else:
+        with pytest.raises(NotNilpotent):
+            m.nilpotent_series_inverse(bound)
+
+
 def test_permute_relocates_entries():
     m = Gf2Matrix.from_rows([[1, 0, 0], [0, 1, 1]])
     rp = Permutation((1, 0))

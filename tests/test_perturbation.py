@@ -2,6 +2,7 @@
 
 import pytest
 
+from morsereduce import perturbation
 from morsereduce.complexes import (
     BoundaryViolation,
     FGChainComplex,
@@ -167,11 +168,12 @@ def test_bpl_rejects_insufficient_nilpotency_exponent():
 def test_vf_route_matches_the_direct_reduction_bit_for_bit():
     for seed in (3, 12, 27):
         t = image_complex(8, 8, 0.6, seed)
-        rc, (small, _) = reduction_of(t)
+        rc, (small, triple) = reduction_of(t)
         alt = vf_reduction_via_bpl(rc)
         assert alt.small.d(1) == small.d1
         assert alt.small.d(2) == small.d2
         assert verify_reduction(alt).ok
+        assert alt == triple
 
 
 def test_vf_route_on_degenerate_images():
@@ -180,10 +182,11 @@ def test_vf_route_on_degenerate_images():
         img = random_image(1, 1, density, seed)
         t = boundary_matrices(build_cubical(img))
         rc = reorder(t, sort_by_lambda(rs_algorithm(t.d1)))
-        small, _ = hexagonal_reduce(rc)
+        small, triple = hexagonal_reduce(rc)
         alt = vf_reduction_via_bpl(rc)
         assert alt.small.d(1) == small.d1
         assert alt.small.d(2) == small.d2
+        assert alt == triple
 
 
 @pytest.mark.parametrize(
@@ -211,3 +214,32 @@ def test_direct_reduction_is_the_general_one_on_the_pair_split(width, height, de
     assert triple.g(1) == vstack(linv.mul(rc.T), Gf2Matrix.identity(s1))
     zeros = Gf2Matrix.zeros
     assert triple.h(0) == join4(linv, zeros(nv, s0), zeros(s1, nv), zeros(s1, s0))
+
+
+@pytest.mark.parametrize(
+    "width, height, density, seed",
+    [(4, 4, 0.0, 1), (1, 1, 1.0, 0), (6, 6, 0.6, 13), (8, 7, 0.5, 27), (9, 9, 0.8, 4)],
+)
+def test_vf_route_starts_from_the_trivial_block_reduction(monkeypatch, width, height, density, seed):
+    # The trivial reduction handed to bpl deletes the pairs: f = [0 | I],
+    # g = [0; I] in degrees 0 and 1, and h(0) = [[I, 0], [0, 0]].
+    seen = []
+
+    def spy(r, p, m):
+        seen.append(r)
+        return bpl(r, p, m)
+
+    monkeypatch.setattr(perturbation, "bpl", spy)
+    t = image_complex(width, height, density, seed)
+    rc, _ = reduction_of(t)
+    vf_reduction_via_bpl(rc)
+    (trivial,) = seen
+    nv = rc.nv
+    c0, c1, _ = t.dims()
+    s0, s1 = c0 - nv, c1 - nv
+    zeros, eye = Gf2Matrix.zeros, Gf2Matrix.identity
+    assert trivial.f(0) == hstack(zeros(s0, nv), eye(s0))
+    assert trivial.f(1) == hstack(zeros(s1, nv), eye(s1))
+    assert trivial.g(0) == vstack(zeros(nv, s0), eye(s0))
+    assert trivial.g(1) == vstack(zeros(nv, s1), eye(s1))
+    assert trivial.h(0) == join4(eye(nv), zeros(nv, s0), zeros(s1, nv), zeros(s1, s0))

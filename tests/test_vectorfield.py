@@ -2,6 +2,7 @@
 
 import random
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -10,6 +11,7 @@ from morsereduce.gf2 import Gf2Matrix
 from morsereduce.image import random_image
 from morsereduce.vectorfield import (
     DiscreteVectorField,
+    _longest_path_lengths,
     check_admissible,
     format_dvf,
     rs_algorithm,
@@ -111,6 +113,22 @@ def test_lambda_counts_edges_on_longest_path():
     vf = rs_algorithm(m)
     assert dict(vf.lambdas) == {0: 2, 1: 1, 2: 0}
     assert check_admissible(m, vf).ok
+
+
+@pytest.mark.parametrize(
+    "succ, cycle",
+    [
+        ({0: [1], 1: [0]}, "0 -> 1 -> 0"),
+        ({0: [1], 1: [2], 2: [0]}, "0 -> 1 -> 2 -> 0"),
+        ({0: [0]}, "0 -> 0"),
+        # A cycle below an acyclic start; the walk may enter it at 6 or 8.
+        ({5: [6], 6: [7, 8], 8: [6]}, "6 -> 8 -> 6|8 -> 6 -> 8"),
+    ],
+)
+def test_longest_paths_refuse_a_cycle(succ, cycle):
+    nodes = set(succ) | {v for vs in succ.values() for v in vs}
+    with pytest.raises(ValueError, match=cycle):
+        _longest_path_lengths(succ, nodes)
 
 
 def test_format_dvf_frozen():
