@@ -28,11 +28,24 @@ from .vectorfield import check_admissible, format_dvf, rs_algorithm
 
 __all__ = ["main", "main_entry"]
 
+
+def _euler(res: PipelineResult) -> bool:
+    """c0 - c1 + c2 == b0 - b1 + b2 on the original complex.
+
+    With b0 and b2 pinned by the checks before it, this pins b1 without
+    the rank code that computes it.
+    """
+    c0, c1, c2 = res.original.dims()
+    b = res.betti_original
+    return c0 - c1 + c2 == b[0] - b[1] + b[2]
+
+
 # Checks that verify runs on a pipeline result, after the pipeline's CHECKS.
 _RESULT_CHECKS = {
     "betti_equal": lambda res: res.betti_original == res.betti_reduced,
     "betti0_components": lambda res: res.betti_original[0] == res.components,
     "betti2_zero": lambda res: res.betti_original[2] == 0,
+    "euler": _euler,
 }
 
 

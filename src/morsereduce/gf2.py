@@ -114,8 +114,13 @@ class Gf2Matrix:
         return not any(self.bits)
 
     def is_identity(self) -> bool:
-        return self.rows == self.cols and all(
-            word == 1 << i for i, word in enumerate(self.bits)
+        # The first and last rows reject most square non-identities at once.
+        n = self.rows
+        return n == self.cols and (
+            n == 0
+            or self.bits[0] == 1
+            and self.bits[-1] == 1 << (n - 1)
+            and all(word == 1 << i for i, word in enumerate(self.bits))
         )
 
     def is_lower_unitriangular(self) -> bool:
@@ -159,6 +164,12 @@ class Gf2Matrix:
             raise ValueError(
                 f"shape mismatch for product: {self.rows}x{self.cols} times {other.rows}x{other.cols}"
             )
+        # Matrices are immutable, so a product by the identity can hand
+        # back the other factor itself.
+        if self.is_identity():
+            return other
+        if other.is_identity():
+            return self
         obits = other.bits
         out = []
         for word in self.bits:

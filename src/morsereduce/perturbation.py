@@ -160,15 +160,17 @@ def decompose(r: ReductionTriple) -> Decomposition:
 
 
 def hexagonal_general(
-    sc: SplitComplex, pivot_inverses: Mapping[int, Gf2Matrix]
+    sc: SplitComplex, pivot_inverses: Mapping[int, Gf2Matrix], *, verify: bool = True
 ) -> ReductionTriple:
     """Reduce a split complex whose d21 blocks are isomorphisms A_k -> B_(k-1).
 
     All other blocks of d may be arbitrary (the differential must still
     square to zero). pivot_inverses[k] must invert the d21 block in degree
-    k wherever A_k is nonzero; both inverse identities are checked. The
-    returned triple retracts onto the C-part, with small differential
-    d33 + d31 u d23, and is verified before being returned.
+    k wherever A_k is nonzero; the sizes and both inverse identities are
+    always checked. The returned triple retracts onto the C-part, with
+    small differential d33 + d31 u d23. With verify=True (the default) it
+    passes verify_reduction before it is returned; verify=False leaves
+    that to a caller that checks an equivalent triple itself.
     """
     lo, hi = sc.cx.lo, sc.cx.hi
     u: dict[int, Gf2Matrix] = {}
@@ -194,9 +196,10 @@ def hexagonal_general(
         u[k] = cand
 
     triple = _eliminate(sc, u)
-    report = verify_reduction(triple)
-    if not report.ok:
-        raise VerificationError(report, "generalized block reduction")
+    if verify:
+        report = verify_reduction(triple)
+        if not report.ok:
+            raise VerificationError(report, "generalized block reduction")
     return triple
 
 
@@ -244,7 +247,9 @@ def _nilpotency_index(x: Gf2Matrix) -> int | None:
     return hi
 
 
-def bpl(r: ReductionTriple, p: Perturbation, m: int) -> ReductionTriple:
+def bpl(
+    r: ReductionTriple, p: Perturbation, m: int, *, verify: bool = True
+) -> ReductionTriple:
     """Carry a reduction across a perturbation of its big differential.
 
     Requires p.base to equal r.big and pow(delta(k) h(k-1), m) = 0 in every
@@ -252,8 +257,17 @@ def bpl(r: ReductionTriple, p: Perturbation, m: int) -> ReductionTriple:
     decomposed, delta and h are transported into the split basis, the
     perturbed pivot (I + delta21 h12) d21 is inverted through the finite
     series of delta21 h12, and the rebuilt reduction is conjugated back.
-    With delta = 0 this reproduces the input reduction exactly. The result
-    is re-verified before being returned.
+    With delta = 0 this reproduces the input reduction exactly.
+
+    The nilpotency pre-check, decompose's assertions and the series
+    inverse's checks always run. With verify=True (the default) the
+    returned triple passes verify_reduction. That one check also covers
+    the inner triple in the split basis, which is therefore built with
+    verify=False: the returned triple is the inner one conjugated by phi,
+    decompose obtained phi's inverse from inverse() (which raises Singular
+    if there is none), and conjugating by an invertible phi keeps every
+    identity in both directions. verify=False skips the closing check for
+    a caller that verifies an equal triple itself.
     """
     big = r.big
     if p.base != big:
@@ -302,19 +316,20 @@ def bpl(r: ReductionTriple, p: Perturbation, m: int) -> ReductionTriple:
         series = delta21.mul(h12[k - 1]).nilpotent_series_inverse(m)
         pivots[k] = h12[k - 1].mul(series)
 
-    inner = hexagonal_general(pert_split, pivots)
+    inner = hexagonal_general(pert_split, pivots, verify=False)
 
     f = {k: inner.f(k).mul(phi_inv(k)) for k in range(lo, hi + 1)}
     g = {k: phi(k).mul(inner.g(k)) for k in range(lo, hi + 1)}
     h = {k: phi(k + 1).mul(inner.h(k).mul(phi_inv(k))) for k in range(lo, hi + 1)}
     triple = ReductionTriple(p.perturbed, inner.small, f, g, h)
-    report = verify_reduction(triple)
-    if not report.ok:
-        raise VerificationError(report, "perturbed reduction")
+    if verify:
+        report = verify_reduction(triple)
+        if not report.ok:
+            raise VerificationError(report, "perturbed reduction")
     return triple
 
 
-def vf_reduction_via_bpl(rc: ReorderedComplex) -> ReductionTriple:
+def vf_reduction_via_bpl(rc: ReorderedComplex, *, verify: bool = True) -> ReductionTriple:
     """Rebuild the vector-field reduction through the perturbation lemma.
 
     Start from the toy differential that sends each paired edge to its
@@ -331,6 +346,11 @@ def vf_reduction_via_bpl(rc: ReorderedComplex) -> ReductionTriple:
     annihilates delta1 h0. A larger exponent annihilates it exactly when
     nv + 1 does, so no looser bound is worth a retry: bpl asserts nv + 1
     and raises NotNilpotent if it fails.
+
+    verify is passed on to bpl: by default the result passes
+    verify_reduction before it is returned. The pipeline passes
+    verify=False once it has verified the direct triple, because the
+    route's triple must equal that triple anyway.
     """
     c0, c1, c2 = rc.original.dims()
     nv = rc.nv
@@ -339,4 +359,4 @@ def vf_reduction_via_bpl(rc: ReorderedComplex) -> ReductionTriple:
     split = SplitComplex(base, {k: rc.split.split(k) for k in base.degrees()})
     trivial = _eliminate(split, {1: Gf2Matrix.identity(nv)})
     delta = {1: rc.reordered.d1 + toy, 2: rc.reordered.d2}
-    return bpl(trivial, Perturbation(base, delta), nv + 1)
+    return bpl(trivial, Perturbation(base, delta), nv + 1, verify=verify)

@@ -28,6 +28,7 @@ BATTERY = [
     "betti_equal",
     "betti0_components",
     "betti2_zero",
+    "euler",
 ]
 
 CHECK_KEYS = {"dvf", "triangular", "boundary", "reduction_axioms", "bpl_match", "nilpotency"}
@@ -145,7 +146,7 @@ def test_homology_reports_a_failed_check_with_exit_one(tmp_path, capsys, monkeyp
 def test_bpl_match_compares_the_whole_triple(tmp_path, capsys, monkeypatch):
     # A route that returns the right small complex but one wrong entry
     # of h must fail bpl_match.
-    def tampered_route(rc):
+    def tampered_route(rc, **kw):
         _, triple = hexagonal_reduce(rc)
         h0 = triple.h(0)
         flipped = Gf2Matrix(h0.rows, h0.cols, (h0.bits[0] ^ 1,) + h0.bits[1:])
@@ -165,6 +166,49 @@ def test_bpl_match_compares_the_whole_triple(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, ["homology", path])
     assert code == 1
     assert json.loads(out)["checks"]["bpl_match"] is False
+
+
+def test_failed_reduction_axioms_name_their_identities(tmp_path, capsys, monkeypatch):
+    failing = VerificationReport()
+    failing.add("f_g_identity", True, 1)
+    failing.add("f_g_identity", False, 0)
+    monkeypatch.setattr(pipeline, "verify_reduction", lambda triple: failing)
+    res = pipeline.reduce_pipeline(parse_pbm(RING_PBM.encode("ascii")))
+    assert res.failed_checks == {"reduction_axioms": ["f_g_identity[0]"]}
+    path = write(tmp_path, "ring.pbm", RING_PBM)
+    code, out, _ = run(capsys, ["homology", path])
+    assert code == 1
+    report = json.loads(out)
+    assert list(report) == [
+        "original",
+        "nv",
+        "reduced",
+        "betti_original",
+        "betti_reduced",
+        "components",
+        "checks",
+        "failed_checks",
+        "timings_ms",
+    ]
+    assert report["failed_checks"] == {"reduction_axioms": ["f_g_identity[0]"]}
+
+
+def test_a_route_that_differs_names_the_identities_it_breaks(monkeypatch):
+    # The direct triple with h(0)[0][0] flipped breaks g f + d h + h d = I.
+    def tampered_route(rc, **kw):
+        _, triple = hexagonal_reduce(rc)
+        h0 = triple.h(0)
+        flipped = Gf2Matrix(h0.rows, h0.cols, (h0.bits[0] ^ 1,) + h0.bits[1:])
+        ks = triple.big.degrees()
+        h = {k: flipped if k == 0 else triple.h(k) for k in ks}
+        return ReductionTriple(triple.big, triple.small, triple.f, triple.g, h)
+
+    monkeypatch.setattr(pipeline, "vf_reduction_via_bpl", tampered_route)
+    res = pipeline.reduce_pipeline(parse_pbm(RING_PBM.encode("ascii")))
+    assert res.checks["bpl_match"] is False
+    assert set(res.failed_checks) == {"bpl_match"}
+    assert "g_f_plus_dh_plus_hd_identity[0]" in res.failed_checks["bpl_match"]
+    assert pipeline.report_dict(res)["failed_checks"] == res.failed_checks
 
 
 def test_homology_no_reduce_forms_the_boundary_product_twice(tmp_path, capsys, monkeypatch):

@@ -362,6 +362,59 @@ def test_inv_unit_lower_triangular_matches_forward_substitution(m):
     assert m.inv_unit_lower_triangular().to_rows() == oracle.unit_lower_inverse(m.to_rows())
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    any_matrix(),
+    st.tuples(SMALL, WIDE).flatmap(lambda s: kernel_matrices(*s, wide=True)),
+    st.tuples(WIDE, SMALL).flatmap(lambda s: kernel_matrices(*s, wide=True)),
+))
+@example(Gf2Matrix.zeros(0, 0))
+@example(Gf2Matrix.zeros(0, 5))
+@example(Gf2Matrix.zeros(5, 0))
+def test_identity_factors_match_the_textbook_product(a):
+    rows, cols = a.to_rows(), a.cols
+    left = Gf2Matrix.identity(a.rows).mul(a)
+    right = a.mul(Gf2Matrix.identity(a.cols))
+    for got in (left, right):
+        assert (got.rows, got.cols) == (a.rows, a.cols)
+    assert left.to_rows() == oracle.mat_mul(oracle.identity(a.rows), rows, cols)
+    assert right.to_rows() == oracle.mat_mul(rows, oracle.identity(cols), cols)
+
+
+@st.composite
+def near_identity_operands(draw):
+    """(m, left, right): m one edit away from the identity, and factors to put around it.
+
+    The edit is one extra off-diagonal bit, one missing diagonal bit or
+    two swapped rows; the 1 x 1 zero matrix is a missing bit at n = 1.
+    """
+    kind = draw(st.sampled_from(["extra", "missing", "swap"]))
+    n = draw(st.integers(1 if kind == "missing" else 2, 12))
+    words = [1 << i for i in range(n)]
+    i = draw(st.integers(0, n - 1))
+    j = (i + draw(st.integers(1, max(1, n - 1)))) % n
+    if kind == "extra":
+        words[i] |= 1 << j
+    elif kind == "missing":
+        words[i] = 0
+    else:
+        words[i], words[j] = words[j], words[i]
+    m = Gf2Matrix(n, n, words)
+    return m, draw(kernel_matrices(draw(SMALL), n)), draw(kernel_matrices(n, draw(SMALL)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(near_identity_operands())
+@example((Gf2Matrix.zeros(1, 1), Gf2Matrix(1, 1, [1]), Gf2Matrix(1, 1, [1])))
+@example((Gf2Matrix(2, 2, [1, 0b11]), Gf2Matrix(1, 2, [0b11]), Gf2Matrix(2, 1, [1, 1])))
+@example((Gf2Matrix(2, 2, [0b10, 0b01]), Gf2Matrix(1, 2, [0b01]), Gf2Matrix(2, 1, [1, 0])))
+def test_near_identity_factors_take_the_full_product(operands):
+    m, left, right = operands
+    assert not m.is_identity()
+    assert m.mul(right).to_rows() == oracle.mat_mul(m.to_rows(), right.to_rows(), right.cols)
+    assert left.mul(m).to_rows() == oracle.mat_mul(left.to_rows(), m.to_rows(), m.cols)
+
+
 def test_pow_laws():
     rng = random.Random(9)
     m = random_matrix(rng, 5, 5)

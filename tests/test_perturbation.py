@@ -2,7 +2,7 @@
 
 import pytest
 
-from morsereduce import perturbation
+from morsereduce import complexes, perturbation, pipeline
 from morsereduce.complexes import (
     BoundaryViolation,
     FGChainComplex,
@@ -23,6 +23,7 @@ from morsereduce.perturbation import (
     vf_reduction_via_bpl,
 )
 from morsereduce.reduction import SplitComplex, hexagonal_reduce, reorder
+from morsereduce.verification import VerificationError, VerificationReport
 from morsereduce.vectorfield import rs_algorithm, sort_by_lambda
 
 
@@ -225,9 +226,9 @@ def test_vf_route_starts_from_the_trivial_block_reduction(monkeypatch, width, he
     # g = [0; I] in degrees 0 and 1, and h(0) = [[I, 0], [0, 0]].
     seen = []
 
-    def spy(r, p, m):
+    def spy(r, p, m, **kw):
         seen.append(r)
-        return bpl(r, p, m)
+        return bpl(r, p, m, **kw)
 
     monkeypatch.setattr(perturbation, "bpl", spy)
     t = image_complex(width, height, density, seed)
@@ -243,3 +244,59 @@ def test_vf_route_starts_from_the_trivial_block_reduction(monkeypatch, width, he
     assert trivial.g(0) == vstack(zeros(nv, s0), eye(s0))
     assert trivial.g(1) == vstack(zeros(nv, s1), eye(s1))
     assert trivial.h(0) == join4(eye(nv), zeros(nv, s0), zeros(s1, nv), zeros(s1, s0))
+
+
+def count_verifications(monkeypatch, failing_in=()):
+    """Count verify_reduction calls through every module's reference to it.
+
+    The modules in failing_in get a stand-in whose report always fails.
+    """
+    real = complexes.verify_reduction
+    calls = []
+    failing = VerificationReport()
+    failing.add("f_g_identity", False, 0)
+
+    def counting(triple):
+        calls.append(triple)
+        return real(triple)
+
+    def refusing(triple):
+        calls.append(triple)
+        return failing
+
+    for mod in (complexes, pipeline, perturbation):
+        monkeypatch.setattr(mod, "verify_reduction", refusing if mod in failing_in else counting)
+    return calls
+
+
+def test_certified_pipeline_verifies_its_triple_once(monkeypatch):
+    calls = count_verifications(monkeypatch)
+    res = pipeline.reduce_pipeline(random_image(16, 16, 0.6, 5))
+    assert res.ok and res.checks["bpl_match"] is True
+    assert len(calls) == 1
+
+
+def test_route_verifies_itself_when_the_pipeline_check_fails(monkeypatch):
+    calls = count_verifications(monkeypatch, failing_in=(pipeline,))
+    res = pipeline.reduce_pipeline(random_image(16, 16, 0.6, 5))
+    assert res.checks["reduction_axioms"] is False
+    assert res.checks["bpl_match"] is True
+    assert len(calls) == 2
+
+
+def test_public_route_functions_verify_by_default(monkeypatch):
+    t = image_complex(8, 8, 0.6, 3)
+    rc, (_, triple) = reduction_of(t)
+    dec = decompose(triple)
+    pivot_inverses = {
+        k: dec.transformed.blocks(k)[1][0].inverse()
+        for k in range(1, 3)
+        if dec.splits[k][0]
+    }
+    count_verifications(monkeypatch, failing_in=(perturbation,))
+    with pytest.raises(VerificationError):
+        bpl(triple, Perturbation(triple.big, {}), 1)
+    with pytest.raises(VerificationError):
+        hexagonal_general(dec.transformed, pivot_inverses)
+    with pytest.raises(VerificationError):
+        vf_reduction_via_bpl(rc)
