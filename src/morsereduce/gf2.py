@@ -37,9 +37,14 @@ class Gf2Matrix:
 
     ``bits[i]`` holds row i with bit ``1 << j`` as the entry in column j;
     bits at or above ``cols`` are required to be zero.
+
+    ``_record`` is None or ``(right, is_identity)``: the right factor of
+    the last product ``mul`` formed with this matrix on the left that
+    came out zero (False) or the identity (True). It holds nothing else,
+    and in particular no product.
     """
 
-    __slots__ = ("rows", "cols", "bits")
+    __slots__ = ("rows", "cols", "bits", "_record")
 
     rows: int
     cols: int
@@ -57,6 +62,7 @@ class Gf2Matrix:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "bits", packed)
+        object.__setattr__(self, "_record", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Gf2Matrix is immutable")
@@ -68,6 +74,7 @@ class Gf2Matrix:
         object.__setattr__(m, "rows", rows)
         object.__setattr__(m, "cols", cols)
         object.__setattr__(m, "bits", bits)
+        object.__setattr__(m, "_record", None)
         return m
 
     @classmethod
@@ -164,22 +171,28 @@ class Gf2Matrix:
             raise ValueError(
                 f"shape mismatch for product: {self.rows}x{self.cols} times {other.rows}x{other.cols}"
             )
-        # Matrices are immutable, so a product by the identity can hand
-        # back the other factor itself.
+        # Matrices are immutable, so the same operands always give the same
+        # product: one this factor already formed with an equal right
+        # factor and found to be zero or I is known without the row loop,
+        # and a product by the identity is the other factor itself.
+        record = self._record
+        if record is not None and (record[0] is other or record[0] == other):
+            if record[1]:
+                return Gf2Matrix.identity(self.rows)
+            return Gf2Matrix.zeros(self.rows, other.cols)
         if self.is_identity():
             return other
         if other.is_identity():
             return self
-        obits = other.bits
-        out = []
-        for word in self.bits:
-            acc = 0
-            while word:
-                j = word.bit_length() - 1
-                acc ^= obits[j]
-                word ^= 1 << j
-            out.append(acc)
-        return Gf2Matrix._raw(self.rows, other.cols, tuple(out))
+        product = Gf2Matrix._raw(self.rows, other.cols, _mul_rows(self.bits, other.bits))
+        # A square that recorded itself would be freed only by the cycle
+        # collector, so a matrix's own square is not recorded.
+        if other is not self:
+            if product.is_zero():
+                object.__setattr__(self, "_record", (other, False))
+            elif product.is_identity():
+                object.__setattr__(self, "_record", (other, True))
+        return product
 
     def __matmul__(self, other: Gf2Matrix) -> Gf2Matrix:
         return self.mul(other)
@@ -252,18 +265,37 @@ class Gf2Matrix:
 
     def inv_unit_lower_triangular(self) -> Gf2Matrix:
         """Inverse by forward substitution; input must be unit lower triangular."""
+        n = self.rows
+        return Gf2Matrix._raw(n, n, self._forward(1 << i for i in range(n)))
+
+    def solve_unit_lower(self, rhs: Gf2Matrix) -> Gf2Matrix:
+        """The X with self X = rhs, by forward substitution.
+
+        self must be unit lower triangular. Row i of X is row i of rhs
+        plus the rows of X that row i of self selects left of the
+        diagonal, so the cost is nnz(self) row XORs, where the product
+        inverse(self) rhs would cost nnz(inverse(self)).
+        """
+        if self.cols != rhs.rows:
+            raise ValueError(
+                f"shape mismatch for solve: {self.rows}x{self.cols} with {rhs.rows}x{rhs.cols}"
+            )
+        return Gf2Matrix._raw(self.rows, rhs.cols, self._forward(rhs.bits))
+
+    def _forward(self, rhs: Iterable[int]) -> tuple[int, ...]:
+        # The one forward-substitution loop, over one right-hand-side
+        # row word per row of self.
         if not self.is_lower_unitriangular():
             raise ValueError("matrix is not unit lower triangular")
-        inv: list[int] = []
-        for i, word in enumerate(self.bits):
-            acc = 1 << i
+        out: list[int] = []
+        for i, (word, acc) in enumerate(zip(self.bits, rhs)):
             below = word ^ (1 << i)
             while below:
                 j = below.bit_length() - 1
-                acc ^= inv[j]
+                acc ^= out[j]
                 below ^= 1 << j
-            inv.append(acc)
-        return Gf2Matrix._raw(self.rows, self.rows, tuple(inv))
+            out.append(acc)
+        return tuple(out)
 
     def right_kernel_basis(self) -> Gf2Matrix:
         """A cols x k matrix whose columns span {v : self @ v = 0}, k = cols - rank.
@@ -367,6 +399,19 @@ class Gf2Matrix:
         tl, tr = top.split_cols(j)
         bl, br = bottom.split_cols(j)
         return tl, tr, bl, br
+
+
+def _mul_rows(words: Iterable[int], obits: tuple[int, ...]) -> tuple[int, ...]:
+    """The row loop of a product: each row word selects rows of obits to XOR."""
+    out = []
+    for word in words:
+        acc = 0
+        while word:
+            j = word.bit_length() - 1
+            acc ^= obits[j]
+            word ^= 1 << j
+        out.append(acc)
+    return tuple(out)
 
 
 def _rref(words: Iterable[int], width: int) -> tuple[dict[int, int], int]:

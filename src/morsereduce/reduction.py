@@ -170,7 +170,10 @@ def _eliminate(sc: SplitComplex, u: Mapping[int, Gf2Matrix]) -> ReductionTriple:
         small = FGChainComplex(lo, hi, {k: sc.split(k)[2] for k in cx.degrees()}, d_small)
 
     # In the A, B, C blocks: f(k) = [0 | d31 u | I], g(k) = [u d23; 0; I] and
-    # h(k) = [0 u 0; 0 0 0], each assembled directly from row words.
+    # h(k) = [0 u 0; 0 0 0], each assembled directly from row words. Since
+    # u inverts d21, u d23 is the X with d21 X = d23: forward substitution
+    # finds it in nnz(d21) row XORs when d21 is unit lower triangular, as
+    # the pair split's L is, where the product costs nnz(u).
     def f(k: int) -> Gf2Matrix | None:
         if not lo <= k <= hi:
             return None
@@ -182,8 +185,12 @@ def _eliminate(sc: SplitComplex, u: Mapping[int, Gf2Matrix]) -> ReductionTriple:
         if not lo <= k <= hi:
             return None
         a, b, c = sc.split(k)
-        lift = u.get(k, empty).mul(sc.blocks(k)[1][2]).bits
-        return Gf2Matrix(a + b + c, c, lift + (0,) * b + tuple(1 << i for i in range(c)))
+        _, (d21, _, d23), _ = sc.blocks(k)
+        if d21.is_lower_unitriangular():
+            lift = d21.solve_unit_lower(d23)
+        else:
+            lift = u.get(k, empty).mul(d23)
+        return Gf2Matrix(a + b + c, c, lift.bits + (0,) * b + tuple(1 << i for i in range(c)))
 
     def h(k: int) -> Gf2Matrix | None:
         if not lo <= k <= hi:

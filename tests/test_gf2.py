@@ -1,5 +1,6 @@
 """Unit tests for the bit-packed GF(2) matrix core."""
 
+import gc
 import random
 
 import pytest
@@ -343,10 +344,10 @@ def test_permute_matches_the_textbook_on_wide_sparse_rows(m, seed):
 
 
 @st.composite
-def unit_lower(draw):
+def unit_lower(draw, largest=300):
     """Unit lower triangular: 0-4 ones left of the diagonal per row, or dense and small."""
     if draw(st.booleans()):
-        n = draw(st.integers(0, 300))
+        n = draw(st.integers(0, largest))
         rng = random.Random(draw(st.integers(0, 2**32 - 1)))
         below = [sparse_words(rng, 1, i)[0] for i in range(n)]
     else:
@@ -413,6 +414,116 @@ def test_near_identity_factors_take_the_full_product(operands):
     assert not m.is_identity()
     assert m.mul(right).to_rows() == oracle.mat_mul(m.to_rows(), right.to_rows(), right.cols)
     assert left.mul(m).to_rows() == oracle.mat_mul(left.to_rows(), m.to_rows(), m.cols)
+
+
+@st.composite
+def repeated_products(draw):
+    """(a, base, rights): a left factor, a right factor and a sequence of rights.
+
+    a times base is zero (base spans part of the kernel of a), the identity
+    (a is unit lower triangular and base is its inverse) or neither. Each
+    right factor in the sequence is base itself, an equal copy of it, base
+    with one bit flipped, or another random matrix of its shape.
+    """
+    kind = draw(st.sampled_from(["zero", "identity", "other"]))
+    if kind == "identity":
+        a = draw(unit_lower(largest=40))
+        base = a.inverse()
+    else:
+        a = draw(kernel_matrices(draw(SMALL), draw(SMALL)))
+        cols = draw(SMALL)
+        if kind == "zero":
+            kernel = a.right_kernel_basis()
+            base = kernel.mul(draw(kernel_matrices(kernel.cols, cols)))
+        else:
+            base = draw(kernel_matrices(a.cols, cols))
+    rights = []
+    for _ in range(draw(st.integers(1, 6))):
+        how = draw(st.sampled_from(["same", "copy", "flip", "random"]))
+        if how == "same":
+            rights.append(base)
+        elif how == "copy":
+            rights.append(Gf2Matrix(base.rows, base.cols, base.bits))
+        elif how == "flip" and base.rows and base.cols:
+            i = draw(st.integers(0, base.rows - 1))
+            j = draw(st.integers(0, base.cols - 1))
+            words = list(base.bits)
+            words[i] ^= 1 << j
+            rights.append(Gf2Matrix(base.rows, base.cols, words))
+        else:
+            rights.append(draw(kernel_matrices(base.rows, base.cols)))
+    return a, base, rights
+
+
+@settings(max_examples=300, deadline=None)
+@given(repeated_products())
+@example((Gf2Matrix(2, 2, [1, 0b11]), Gf2Matrix(2, 2, [1, 0b11]),
+          [Gf2Matrix(2, 2, [1, 0b11]), Gf2Matrix(2, 2, [1, 0b10])]))
+@example((Gf2Matrix(1, 2, [0b11]), Gf2Matrix(2, 1, [1, 1]),
+          [Gf2Matrix(2, 1, [1, 1]), Gf2Matrix(2, 1, [1, 0])]))
+def test_repeated_products_on_one_left_factor_match_the_textbook(operands):
+    # A product that came out zero or I is remembered on its left factor;
+    # a later product must reuse that only for an equal right factor.
+    a, base, rights = operands
+    rows = a.to_rows()
+    for b in [base, *rights]:
+        assert a.mul(b).to_rows() == oracle.mat_mul(rows, b.to_rows(), b.cols)
+
+
+def test_the_record_holds_no_product():
+    a = Gf2Matrix(3, 3, [1, 0b11, 0b101])
+    inv = a.inverse()
+    d1 = Gf2Matrix(2, 3, [0b011, 0b110])
+    d2 = Gf2Matrix(3, 1, [1, 1, 1])
+    for left, right in ((a, inv), (d1, d2)):
+        product = left.mul(right)
+        assert product.is_identity() or product.is_zero()
+        assert left._record[0] is right
+        seen = [left]
+        for obj in seen[:]:
+            seen.extend(gc.get_referents(obj))
+        for obj in seen[:]:
+            seen.extend(gc.get_referents(obj))
+        assert not any(obj is product for obj in seen)
+        # A repeat hands back a new zero or identity matrix.
+        again = left.mul(Gf2Matrix(right.rows, right.cols, right.bits))
+        assert again == product and again is not product
+
+
+@st.composite
+def unit_lower_systems(draw):
+    """(l, rhs): l as in unit_lower(); rhs sparse and up to 3000 wide when l
+    has at most 40 rows (which keeps the oracle's lists small), else dense
+    and at most 12 wide."""
+    l = draw(unit_lower())
+    if l.rows <= 40 and draw(st.booleans()):
+        return l, draw(kernel_matrices(l.rows, draw(WIDE), wide=True))
+    return l, draw(kernel_matrices(l.rows, draw(SMALL)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(unit_lower_systems())
+@example((Gf2Matrix.identity(0), Gf2Matrix.zeros(0, 5)))
+@example((Gf2Matrix(3, 3, [1, 0b11, 0b101]), Gf2Matrix.zeros(3, 0)))
+@example((Gf2Matrix(2, 2, [1, 0b11]), Gf2Matrix(2, 2999, [1 << 2998, 1])))
+def test_solve_unit_lower_is_the_inverse_times_the_right_side(operands):
+    l, rhs = operands
+    want = oracle.mat_mul(oracle.unit_lower_inverse(l.to_rows()), rhs.to_rows(), rhs.cols)
+    got = l.solve_unit_lower(rhs)
+    assert (got.rows, got.cols) == (rhs.rows, rhs.cols)
+    assert got.to_rows() == want
+
+
+@pytest.mark.parametrize("m", [
+    Gf2Matrix(2, 2, [0b11, 0b10]),  # a bit above the diagonal
+    Gf2Matrix(2, 2, [1, 0b01]),  # a zero on the diagonal
+    Gf2Matrix(2, 3, [1, 0b10]),  # not square
+])
+def test_solve_unit_lower_refuses_other_matrices(m):
+    with pytest.raises(ValueError, match="not unit lower triangular"):
+        m.solve_unit_lower(Gf2Matrix.zeros(m.cols, 2))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        Gf2Matrix.identity(2).solve_unit_lower(Gf2Matrix.zeros(3, 2))
 
 
 def test_pow_laws():

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from morsereduce import gf2, perturbation
 from morsereduce.complexes import TruncatedComplex, betti, verify_reduction
 from morsereduce.cubical import boundary_matrices, build_cubical
 from morsereduce.gf2 import Gf2Matrix
@@ -156,3 +157,77 @@ def test_fast_pipeline_forms_no_unread_product(monkeypatch):
     assert nv > 0 and s1 > 0 and s0 != nv  # L^-1 T has a shape of its own
     assert (nv, nv, s1) not in shapes
     assert shapes.count(res.original.dims()) <= 5
+
+
+def spy_products(monkeypatch):
+    """Log (left, right, formed) for every Gf2Matrix.mul call.
+
+    formed says whether the call ran the row loop, rather than answering
+    from the left factor's record or an identity factor.
+    """
+    log, loops = [], []
+    mul, rows = Gf2Matrix.mul, gf2._mul_rows
+
+    def counting_rows(words, obits):
+        loops.append(None)
+        return rows(words, obits)
+
+    def logging_mul(a, b):
+        before = len(loops)
+        out = mul(a, b)
+        log.append((a, b, len(loops) > before))
+        return out
+
+    monkeypatch.setattr(gf2, "_mul_rows", counting_rows)
+    monkeypatch.setattr(Gf2Matrix, "mul", logging_mul)
+    return log
+
+
+def test_fast_pipeline_forms_each_boundary_product_once_per_pair_of_factors(monkeypatch):
+    # The five D1 . D2 calls of fast mode (see above) run on two pairs of
+    # factors: the original D1, D2 (construction, checks["boundary"], betti)
+    # and the reordered copy (construction, hexagonal_reduce). A repeat on
+    # the same factors is answered from the record of the first product.
+    img = random_image(24, 24, 0.5, 11)
+    log = spy_products(monkeypatch)
+    res = reduce_pipeline(img, fast=True)
+    monkeypatch.undo()
+    boundary = [formed for a, b, formed in log if (a.rows, a.cols, b.cols) == res.original.dims()]
+    assert len(boundary) == 5
+    assert boundary.count(True) == 2
+
+
+def test_certified_pivot_check_reuses_the_series_check(monkeypatch):
+    # nilpotent_series_inverse checks S (I + N) = I with S = L^-1, and
+    # hexagonal_general then checks u d21 = I for the same u = S and an
+    # equal d21 = L. The second product is answered from the record.
+    seen = []
+    general = perturbation.hexagonal_general
+
+    def spy(sc, pivot_inverses, **kw):
+        seen.append((sc.blocks(1)[1][0], pivot_inverses[1]))
+        return general(sc, pivot_inverses, **kw)
+
+    monkeypatch.setattr(perturbation, "hexagonal_general", spy)
+    log = spy_products(monkeypatch)
+    res = reduce_pipeline(random_image(16, 16, 0.6, 5))
+    monkeypatch.undo()
+    assert res.ok and res.nv > 0
+    [(pivot, cand)] = seen
+    assert cand == res.reordered.L.inv_unit_lower_triangular()
+    series_check = [f for a, b, f in log if a is cand and b == pivot and b is not pivot]
+    pivot_check = [f for a, b, f in log if a is cand and b is pivot]
+    assert series_check == [True] and pivot_check == [False]
+
+
+@pytest.mark.parametrize(
+    "width, height, density, seed",
+    [(16, 16, 0.6, 1), (24, 20, 0.5, 2), (32, 32, 0.6, 3), (20, 24, 0.8, 4)],
+)
+def test_direct_lift_is_the_inverse_times_t(width, height, density, seed):
+    # g(1)'s lift is solved from L X = T, and must equal the product L^-1 T.
+    rc = reorder_of(image_complex(width, height, density, seed))
+    _, triple = hexagonal_reduce(rc)
+    lift, rest = triple.g(1).split_rows(rc.nv)
+    assert rc.nv > 0 and lift == rc.L.inv_unit_lower_triangular().mul(rc.T)
+    assert rest == Gf2Matrix.identity(rest.rows)
