@@ -39,6 +39,27 @@ class FGChainComplex:
         dims: Mapping[int, int],
         d: Mapping[int, Gf2Matrix] | None = None,
     ):
+        self._store(lo, hi, dims, d)
+        self.check_boundaries()
+
+    @classmethod
+    def _known_valid(
+        cls, lo: int, hi: int, dims: Mapping[int, int], d: Mapping[int, Gf2Matrix]
+    ) -> FGChainComplex:
+        """A complex whose d(k) . d(k+1) = 0 the caller has already established.
+
+        Shapes are validated as in the constructor; only check_boundaries
+        is skipped. For the perturbation route's own complexes: each is a
+        complex already checked, or one conjugated by a change of basis
+        whose inverse inverse() produced, and d . d = 0 survives both.
+        """
+        cx = cls.__new__(cls)
+        cx._store(lo, hi, dims, d)
+        return cx
+
+    def _store(
+        self, lo: int, hi: int, dims: Mapping[int, int], d: Mapping[int, Gf2Matrix] | None
+    ) -> None:
         if lo > hi:
             raise ValueError(f"empty degree window [{lo}, {hi}]")
         self._dims: dict[int, int] = {}
@@ -63,7 +84,6 @@ class FGChainComplex:
                     f"d({k}) is {m.rows}x{m.cols}, expected {self.dim(k - 1)}x{self.dim(k)}"
                 )
             self._d[k] = m
-        self.check_boundaries()
 
     def check_boundaries(self) -> None:
         """Raise BoundaryViolation unless d(k) . d(k+1) = 0 in every degree."""
@@ -231,13 +251,11 @@ def verify_reduction(r: ReductionTriple) -> VerificationReport:
     big, small = r.big, r.small
     for k in big.degrees():
         f_k, g_k, h_k = r.f(k), r.g(k), r.h(k)
-        eye_small = Gf2Matrix.identity(small.dim(k))
-        eye_big = Gf2Matrix.identity(big.dim(k))
-        report.add("f_g_identity", f_k.mul(g_k) == eye_small, k)
+        report.add("f_g_identity", f_k.mul(g_k).is_identity(), k)
         gf = g_k.mul(f_k)
         dh = big.d(k + 1).mul(h_k)
         hd = r.h(k - 1).mul(big.d(k))
-        report.add("g_f_plus_dh_plus_hd_identity", gf + dh + hd == eye_big, k)
+        report.add("g_f_plus_dh_plus_hd_identity", (gf + dh + hd).is_identity(), k)
         report.add("f_h_zero", r.f(k + 1).mul(h_k).is_zero(), k)
         report.add("h_g_zero", h_k.mul(g_k).is_zero(), k)
         report.add("h_h_zero", r.h(k + 1).mul(h_k).is_zero(), k)

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from itertools import repeat
+from operator import eq, le
 
 __all__ = [
     "Gf2Matrix",
@@ -87,7 +89,7 @@ class Gf2Matrix:
     def identity(cls, n: int) -> Gf2Matrix:
         if n < 0:
             raise ValueError(f"negative dimension: {n}")
-        return cls._raw(n, n, tuple(1 << i for i in range(n)))
+        return cls._raw(n, n, tuple(_unit_words(n)))
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]], cols: int | None = None) -> Gf2Matrix:
@@ -121,19 +123,34 @@ class Gf2Matrix:
         return not any(self.bits)
 
     def is_identity(self) -> bool:
-        # The first and last rows reject most square non-identities at once.
+        # The last and first rows reject most square non-identities at
+        # once, before the full scan: row i is 1 << i exactly when its
+        # highest bit is bit i, and then n set bits in all leave one per row.
         n = self.rows
-        return n == self.cols and (
-            n == 0
-            or self.bits[0] == 1
-            and self.bits[-1] == 1 << (n - 1)
-            and all(word == 1 << i for i, word in enumerate(self.bits))
+        if n != self.cols:
+            return False
+        if n == 0:
+            return True
+        bits = self.bits
+        return (
+            bits[-1].bit_count() == 1
+            and bits[-1].bit_length() == n
+            and bits[0] == 1
+            and all(map(eq, map(int.bit_length, bits), range(1, n + 1)))
+            and sum(map(int.bit_count, bits)) == n
         )
 
     def is_lower_unitriangular(self) -> bool:
         """True iff square with 1s on the diagonal and 0s strictly above it."""
+        # Row i qualifies exactly when its highest set bit is bit i.
         return self.rows == self.cols and all(
-            word >> i == 1 for i, word in enumerate(self.bits)
+            map(eq, map(int.bit_length, self.bits), range(1, self.rows + 1))
+        )
+
+    def _is_strictly_lower(self) -> bool:
+        # Row i qualifies exactly when it has no set bit at or above bit i.
+        return self.rows == self.cols and all(
+            map(le, map(int.bit_length, self.bits), range(self.rows))
         )
 
     def __eq__(self, other: object) -> bool:
@@ -184,7 +201,15 @@ class Gf2Matrix:
             return other
         if other.is_identity():
             return self
-        product = Gf2Matrix._raw(self.rows, other.cols, _mul_rows(self.bits, other.bits))
+        # The row loop costs one step per set bit of this factor; with a
+        # narrow right factor, one inner product per entry of the product
+        # can cost less. The width test comes first, so wide products
+        # never count their bits.
+        if other.cols <= _NARROW and self.rows * other.cols < sum(map(int.bit_count, self.bits)):
+            words = _mul_columns(self.bits, _transpose_words(other.bits, other.cols))
+        else:
+            words = _mul_rows(self.bits, other.bits)
+        product = Gf2Matrix._raw(self.rows, other.cols, words)
         # A square that recorded itself would be freed only by the cycle
         # collector, so a matrix's own square is not recorded.
         if other is not self:
@@ -198,14 +223,7 @@ class Gf2Matrix:
         return self.mul(other)
 
     def transpose(self) -> Gf2Matrix:
-        out = [0] * self.cols
-        for i, word in enumerate(self.bits):
-            flag = 1 << i
-            while word:
-                j = word.bit_length() - 1
-                out[j] |= flag
-                word ^= 1 << j
-        return Gf2Matrix._raw(self.cols, self.rows, tuple(out))
+        return Gf2Matrix._raw(self.cols, self.rows, _transpose_words(self.bits, self.cols))
 
     def pow(self, k: int) -> Gf2Matrix:
         if self.rows != self.cols:
@@ -252,6 +270,8 @@ class Gf2Matrix:
         """
         if self.rows != self.cols:
             raise ValueError(f"inverse needs a square matrix, got {self.rows}x{self.cols}")
+        if self.is_identity():  # immutable, so the identity is its own inverse
+            return self
         n = self.rows
         # Augment each row with the matching identity row in the high bits.
         pivots, dependent = _rref(
@@ -266,7 +286,7 @@ class Gf2Matrix:
     def inv_unit_lower_triangular(self) -> Gf2Matrix:
         """Inverse by forward substitution; input must be unit lower triangular."""
         n = self.rows
-        return Gf2Matrix._raw(n, n, self._forward(1 << i for i in range(n)))
+        return Gf2Matrix._raw(n, n, self._forward(_unit_words(n)))
 
     def solve_unit_lower(self, rhs: Gf2Matrix) -> Gf2Matrix:
         """The X with self X = rhs, by forward substitution.
@@ -324,32 +344,32 @@ class Gf2Matrix:
         return Gf2Matrix._raw(nc, len(free), tuple(out))
 
     def nilpotent_series_inverse(self, bound: int) -> Gf2Matrix:
-        """Inverse of (I + self) as the finite sum S = I + self + ... + self^(bound-1).
+        """Inverse of (I + self), equal to the finite sum I + self + ... + self^(bound-1).
 
         Requires ``self.pow(bound)`` to vanish; raises NotNilpotent otherwise.
-        Over GF(2) the sum telescopes, (I + self) S = I + self^bound, so
-        the inverse identity (I + self) S = I, checked on the result, holds
-        exactly when self^bound = 0. S (I + self) = I is checked as well.
+        Over GF(2) the sum telescopes, (I + self) S = I + self^bound, so it
+        inverts I + self exactly when self^bound = 0, and is then that
+        inverse. Whether self^bound = 0 is decided exactly: a strictly
+        lower triangular n x n matrix has self^n = 0, so a bound of at
+        least n needs no power, and any other case computes self^bound.
+        The inverse comes from forward substitution when I + self is unit
+        lower triangular and from inverse() otherwise. Both (I + self) S = I
+        and S (I + self) = I are checked on the result.
         """
         if self.rows != self.cols:
             raise ValueError(f"series needs a square matrix, got {self.rows}x{self.cols}")
         if bound < 0:
             raise ValueError("negative bound")
         n = self.rows
-        # Build S(t) = I + n + ... + n^(t-1) by binary splitting:
-        # doubling t uses S(2t) = S(t) + n^t S(t), increment uses S(t+1) = S(t) + n^t.
-        total = Gf2Matrix.zeros(n, n)
-        power = Gf2Matrix.identity(n)
-        for ch in bin(bound)[2:]:
-            total = total + power.mul(total)
-            power = power.mul(power)
-            if ch == "1":
-                total = total + power
-                power = power.mul(self)
-        one_plus = self + Gf2Matrix.identity(n)
-        if not one_plus.mul(total).is_identity():
+        strict = self._is_strictly_lower()
+        if not (strict and bound >= n) and not self.pow(bound).is_zero():
             raise NotNilpotent(f"matrix^{bound} is nonzero")
-        if not total.mul(one_plus).is_identity():
+        one_plus = self + Gf2Matrix.identity(n)
+        if strict:
+            total = Gf2Matrix._raw(n, n, one_plus._forward(_unit_words(n)))
+        else:
+            total = one_plus.inverse()
+        if not (one_plus.mul(total).is_identity() and total.mul(one_plus).is_identity()):
             raise AssertionError("series inverse self-check failed")
         return total
 
@@ -401,6 +421,15 @@ class Gf2Matrix:
         return tl, tr, bl, br
 
 
+# The widest right factor for which mul may form entries as inner products.
+_NARROW = 64
+
+
+def _unit_words(n: int) -> Iterable[int]:
+    """The row words 1 << i of the n x n identity, shifted at C speed."""
+    return map(int.__lshift__, repeat(1, n), range(n))
+
+
 def _mul_rows(words: Iterable[int], obits: tuple[int, ...]) -> tuple[int, ...]:
     """The row loop of a product: each row word selects rows of obits to XOR."""
     out = []
@@ -411,6 +440,37 @@ def _mul_rows(words: Iterable[int], obits: tuple[int, ...]) -> tuple[int, ...]:
             acc ^= obits[j]
             word ^= 1 << j
         out.append(acc)
+    return tuple(out)
+
+
+def _mul_columns(words: Iterable[int], columns: Sequence[int]) -> tuple[int, ...]:
+    """The same product from the right factor's column words.
+
+    Entry (i, c) is the parity of the bits that row word i shares with
+    column word c: one AND and one bit count per entry, whatever the fill.
+    """
+    out = []
+    for word in words:
+        acc = 0
+        if word:
+            bit = 1
+            for column in columns:
+                if (word & column).bit_count() & 1:
+                    acc |= bit
+                bit <<= 1
+        out.append(acc)
+    return tuple(out)
+
+
+def _transpose_words(bits: tuple[int, ...], cols: int) -> tuple[int, ...]:
+    """The column words of a matrix: word j has bit i set where row i has bit j."""
+    out = [0] * cols
+    for i, word in enumerate(bits):
+        flag = 1 << i
+        while word:
+            j = word.bit_length() - 1
+            out[j] |= flag
+            word ^= 1 << j
     return tuple(out)
 
 

@@ -57,6 +57,36 @@ class Perturbation:
     __slots__ = ("base", "perturbed", "_delta")
 
     def __init__(self, base: FGChainComplex, delta: Mapping[int, Gf2Matrix]):
+        d_new = self._store(base, delta)
+        dims = {k: base.dim(k) for k in base.degrees()}
+        # FGChainComplex construction rejects the perturbation unless
+        # (d + delta) . (d + delta) = 0.
+        self.perturbed = FGChainComplex(base.lo, base.hi, dims, d_new)
+
+    @classmethod
+    def _onto(
+        cls, base: FGChainComplex, delta: Mapping[int, Gf2Matrix], target: FGChainComplex
+    ) -> Perturbation:
+        """The perturbation of base by delta that is known to give target.
+
+        d + delta is compared with target's differential by == in every
+        degree, and target, a complex whose d . d = 0 was checked when it
+        was built, becomes the perturbed complex. Raises ValueError if
+        they differ.
+        """
+        p = cls.__new__(cls)
+        d_new = p._store(base, delta)
+        if (target.lo, target.hi) != (base.lo, base.hi) or not all(
+            target.dim(k) == base.dim(k) for k in base.degrees()
+        ) or not all(target.d(k) == m for k, m in d_new.items()):
+            raise ValueError("perturbed differential differs from the target complex")
+        p.perturbed = target
+        return p
+
+    def _store(
+        self, base: FGChainComplex, delta: Mapping[int, Gf2Matrix]
+    ) -> dict[int, Gf2Matrix]:
+        # Validate and keep the nonzero changes; return d + delta by degree.
         self.base = base
         self._delta: dict[int, Gf2Matrix] = {}
         for k, m in delta.items():
@@ -67,13 +97,7 @@ class Perturbation:
                 )
             if not m.is_zero():
                 self._delta[k] = m
-        dims = {k: base.dim(k) for k in base.degrees()}
-        d_new = {
-            k: base.d(k) + self.delta(k) for k in range(base.lo + 1, base.hi + 1)
-        }
-        # FGChainComplex construction rejects the perturbation unless
-        # (d + delta) . (d + delta) = 0.
-        self.perturbed = FGChainComplex(base.lo, base.hi, dims, d_new)
+        return {k: base.d(k) + self.delta(k) for k in range(base.lo + 1, base.hi + 1)}
 
     def delta(self, k: int) -> Gf2Matrix:
         stored = self._delta.get(k)
@@ -135,7 +159,9 @@ def decompose(r: ReductionTriple) -> Decomposition:
         k: phi_inv[k - 1].mul(big.d(k).mul(phi[k]))
         for k in range(big.lo + 1, big.hi + 1)
     }
-    transformed = SplitComplex(FGChainComplex(big.lo, big.hi, dims, d_new), splits)
+    # A conjugate of big by phi, whose inverse inverse() produced, so
+    # d . d = 0 carries over from big.
+    transformed = SplitComplex(FGChainComplex._known_valid(big.lo, big.hi, dims, d_new), splits)
 
     for k in range(big.lo + 1, big.hi + 1):
         blocks = transformed.blocks(k)
@@ -279,18 +305,23 @@ def bpl(
     dec = decompose(r)
     lo, hi = big.lo, big.hi
 
+    # decompose covers every degree of the window; outside it the
+    # modules are zero and the change of basis is the empty identity.
     def phi(k: int) -> Gf2Matrix:
-        return dec.phi.get(k, Gf2Matrix.identity(big.dim(k)))
+        m = dec.phi.get(k)
+        return Gf2Matrix.identity(big.dim(k)) if m is None else m
 
     def phi_inv(k: int) -> Gf2Matrix:
-        return dec.phi_inv.get(k, Gf2Matrix.identity(big.dim(k)))
+        m = dec.phi_inv.get(k)
+        return Gf2Matrix.identity(big.dim(k)) if m is None else m
 
     dims = {k: big.dim(k) for k in big.degrees()}
     d_pert = {
         k: dec.transformed.cx.d(k) + phi_inv(k - 1).mul(p.delta(k).mul(phi(k)))
         for k in range(lo + 1, hi + 1)
     }
-    pert_split = SplitComplex(FGChainComplex(lo, hi, dims, d_pert), dec.splits)
+    # p.perturbed (checked) conjugated by phi, so d . d = 0 carries over.
+    pert_split = SplitComplex(FGChainComplex._known_valid(lo, hi, dims, d_pert), dec.splits)
 
     # Transported homotopy must live entirely in its (1, 2) block.
     h12: dict[int, Gf2Matrix] = {}
@@ -355,8 +386,9 @@ def vf_reduction_via_bpl(rc: ReorderedComplex, *, verify: bool = True) -> Reduct
     c0, c1, c2 = rc.original.dims()
     nv = rc.nv
     toy = Gf2Matrix(c0, c1, [1 << i for i in range(nv)] + [0] * (c0 - nv))
-    base = FGChainComplex(0, 2, {0: c0, 1: c1, 2: c2}, {1: toy})
+    # d(2) is zero, so the toy complex squares to zero.
+    base = FGChainComplex._known_valid(0, 2, {0: c0, 1: c1, 2: c2}, {1: toy})
     split = SplitComplex(base, {k: rc.split.split(k) for k in base.degrees()})
     trivial = _eliminate(split, {1: Gf2Matrix.identity(nv)})
     delta = {1: rc.reordered.d1 + toy, 2: rc.reordered.d2}
-    return bpl(trivial, Perturbation(base, delta), nv + 1, verify=verify)
+    return bpl(trivial, Perturbation._onto(base, delta, rc.reordered), nv + 1, verify=verify)

@@ -74,6 +74,32 @@ def is_zero(a: Matrix) -> bool:
     return all(all(x == 0 for x in row) for row in a)
 
 
+def is_identity(a: Matrix, cols: int) -> bool:
+    """Square, with a[i][j] = 1 exactly when i = j."""
+    return len(a) == cols and all(
+        a[i][j] == (1 if i == j else 0) for i in range(cols) for j in range(cols)
+    )
+
+
+def is_lower_unitriangular(a: Matrix, cols: int) -> bool:
+    """Square, 1 on the diagonal and 0 at every (i, j) with j > i."""
+    return len(a) == cols and all(
+        a[i][i] == 1 and all(a[i][j] == 0 for j in range(i + 1, cols)) for i in range(cols)
+    )
+
+
+def power(a: Matrix, k: int) -> Matrix:
+    """a to the k-th power by repeated squaring; the identity for k = 0."""
+    n = len(a)
+    out, base = identity(n), a
+    while k:
+        if k % 2:
+            out = mat_mul(out, base, n)
+        base = mat_mul(base, base, n)
+        k //= 2
+    return out
+
+
 def rank(a: Matrix) -> int:
     m = [row[:] for row in a]
     if not m:
@@ -214,6 +240,35 @@ def count_components_uf(pixels: set[tuple[int, int]]) -> int:
                     if ra != rb:
                         parent[ra] = rb
     return sum(1 for p in parent if parent[p] == p)
+
+
+def count_holes_4(pixels: set[tuple[int, int]], height: int, width: int) -> int:
+    """Background components that do not touch the border: b1 of the image.
+
+    Background pixels are (row, column) positions inside the height x width
+    frame that are not in pixels, joined through shared edges (4-connected).
+    A component with a pixel in the first or last row or column reaches the
+    unbounded outside; every other one is a hole in the closed foreground
+    squares. One breadth-first pass over the frame, so linear in its size.
+    """
+    seen = [[(r, c) in pixels for c in range(width)] for r in range(height)]
+    holes = 0
+    for r0 in range(height):
+        for c0 in range(width):
+            if seen[r0][c0]:
+                continue
+            seen[r0][c0] = True
+            queue = [(r0, c0)]
+            bounded = True
+            for r, c in queue:
+                if r in (0, height - 1) or c in (0, width - 1):
+                    bounded = False
+                for nr, nc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
+                    if 0 <= nr < height and 0 <= nc < width and not seen[nr][nc]:
+                        seen[nr][nc] = True
+                        queue.append((nr, nc))
+            holes += bounded
+    return holes
 
 
 def splitmix64_pixels(width: int, height: int, density: float, seed: int) -> list[int]:

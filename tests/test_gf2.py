@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from morsereduce import gf2
 from morsereduce.gf2 import (
     Gf2Matrix,
     NotNilpotent,
@@ -326,6 +327,95 @@ def test_mul_and_transpose_match_the_textbook_on_wide_sparse_rows(operands):
         assert m.transpose().to_rows() == oracle.transpose(m.to_rows(), m.cols)
 
 
+def expected_record(a, b, product_rows):
+    """The record mul must leave on a fresh left factor a after a.mul(b)."""
+    if a.is_identity() or b.is_identity():
+        return None  # the other factor is handed back; nothing is formed
+    if oracle.is_zero(product_rows):
+        return (b, False)
+    if oracle.is_identity(product_rows, b.cols):
+        return (b, True)
+    return None
+
+
+@st.composite
+def narrow_products(draw):
+    """(a, b): b at most 70 columns wide, a up to 2000 columns wide, sparse or dense.
+
+    "zero" takes b's columns from the kernel of a, and "identity" pairs
+    a = [I | X] with b = [I; 0] under one shuffle of the inner index, so
+    that the product is zero or I; "any" draws b freely.
+    """
+    kind = draw(st.sampled_from(["any", "zero", "identity"]))
+    dense = draw(st.booleans())
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+
+    def words(rows, width):
+        if dense:
+            return [rng.getrandbits(width) for _ in range(rows)]
+        return sparse_words(rng, rows, width)
+
+    if kind == "identity":
+        inner = draw(st.integers(0, 600))
+        n = draw(st.integers(0, min(40, inner)))
+        a = hstack(Gf2Matrix.identity(n), Gf2Matrix(n, inner - n, words(n, inner - n)))
+        b = vstack(Gf2Matrix.identity(n), Gf2Matrix.zeros(inner - n, n))
+        shuffle = list(range(inner))
+        rng.shuffle(shuffle)
+        p = Permutation(tuple(shuffle))
+        return a.permute(Permutation.identity(n), p), b.permute(p, Permutation.identity(n))
+    inner, cols = draw(st.integers(0, 2000)), draw(st.integers(0, 70))
+    rows = draw(SMALL)
+    a = Gf2Matrix(rows, inner, words(rows, inner))
+    if kind == "zero":
+        kernel = a.right_kernel_basis()
+        return a, kernel.split_cols(min(cols, kernel.cols))[0]
+    return a, Gf2Matrix(inner, cols, words(inner, cols))
+
+
+@settings(max_examples=150, deadline=None)
+@given(narrow_products())
+@example((Gf2Matrix.zeros(0, 7), Gf2Matrix.zeros(7, 3)))
+@example((Gf2Matrix.zeros(3, 0), Gf2Matrix.zeros(0, 70)))
+@example((Gf2Matrix(2, 3, [0b111, 0b011]), Gf2Matrix(3, 1, [1, 1, 0])))
+def test_narrow_products_match_the_textbook_and_keep_their_records(operands):
+    # Dense left factors take the inner-product loop, sparse ones the row
+    # loop; both must give the textbook product and the same record.
+    a, b = operands
+    want = oracle.mat_mul(a.to_rows(), b.to_rows(), b.cols)
+    got = a.mul(b)
+    assert (got.rows, got.cols) == (a.rows, b.cols)
+    assert got.to_rows() == want
+    record = expected_record(a, b, want)
+    if record is None:
+        assert a._record is None
+    else:
+        assert a._record[0] is b and a._record[1] is record[1]
+
+
+def test_only_narrow_products_of_well_filled_left_factors_take_the_inner_product_loop(monkeypatch):
+    taken = []
+    columns = gf2._mul_columns
+
+    def spy(words, cols):
+        taken.append(len(cols))
+        return columns(words, cols)
+
+    monkeypatch.setattr(gf2, "_mul_columns", spy)
+    rng = random.Random(9)
+    dense = Gf2Matrix(8, 500, [rng.getrandbits(500) for _ in range(8)])
+    sparse = Gf2Matrix(8, 500, sparse_words(rng, 8, 500))
+    for a, width, inner_products in (
+        (dense, 64, True),  # 8 * 64 entries against about 2000 set bits
+        (dense, 65, False),  # too wide: the bits are never counted
+        (sparse, 64, False),  # at most 32 set bits
+    ):
+        b = Gf2Matrix(500, width, [rng.getrandbits(width) for _ in range(500)])
+        taken.clear()
+        assert a.mul(b).to_rows() == oracle.mat_mul(a.to_rows(), b.to_rows(), width)
+        assert taken == ([width] if inner_products else [])
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(
     st.tuples(SMALL, WIDE).flatmap(lambda s: kernel_matrices(*s, wide=True)),
@@ -414,6 +504,55 @@ def test_near_identity_factors_take_the_full_product(operands):
     assert not m.is_identity()
     assert m.mul(right).to_rows() == oracle.mat_mul(m.to_rows(), right.to_rows(), right.cols)
     assert left.mul(m).to_rows() == oracle.mat_mul(left.to_rows(), m.to_rows(), m.cols)
+
+
+@st.composite
+def identity_candidates(draw):
+    """Square and other matrices near the identity or unit lower triangular.
+
+    Covers the identity, one-edit neighbours of it, unit lower triangular
+    matrices (with their last row cut to its diagonal bit in half the
+    draws), the identity padded by a zero row or column, and dense ones.
+    """
+    kind = draw(st.sampled_from(["identity", "near", "lower", "padded", "dense"]))
+    if kind == "identity":
+        return Gf2Matrix.identity(draw(st.integers(0, 300)))
+    if kind == "near":
+        return draw(near_identity_operands())[0]
+    if kind == "lower":
+        m = draw(unit_lower())
+        if m.rows and draw(st.booleans()):
+            words = list(m.bits)
+            words[-1] = 1 << (m.rows - 1)
+            m = Gf2Matrix(m.rows, m.cols, words)
+        return m
+    if kind == "padded":
+        eye = Gf2Matrix.identity(draw(st.integers(0, 12)))
+        if draw(st.booleans()):
+            return vstack(eye, Gf2Matrix.zeros(1, eye.cols))
+        return hstack(eye, Gf2Matrix.zeros(eye.rows, 1))
+    return draw(dense_matrices())
+
+
+@settings(max_examples=300, deadline=None)
+@given(identity_candidates())
+@example(Gf2Matrix.zeros(0, 0))
+@example(Gf2Matrix.zeros(3, 0))
+@example(Gf2Matrix.zeros(0, 3))
+@example(Gf2Matrix(3, 3, [1, 0b11, 0b100]))  # unit lower, last row a single bit
+@example(Gf2Matrix(3, 3, [1, 0b10, 0b110]))  # bit above the diagonal in a middle row
+def test_identity_and_unitriangular_tests_match_their_definitions(m):
+    rows = m.to_rows()
+    assert m.is_identity() == oracle.is_identity(rows, m.cols)
+    assert m.is_lower_unitriangular() == oracle.is_lower_unitriangular(rows, m.cols)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 70])
+def test_inverse_of_an_identity_is_an_equal_matrix(n):
+    for eye in (Gf2Matrix.identity(n), Gf2Matrix(n, n, [1 << i for i in range(n)])):
+        inv = eye.inverse()
+        assert inv == eye
+        assert inv.to_rows() == oracle.identity(n)
 
 
 @st.composite
@@ -578,6 +717,50 @@ def test_series_inverse_refuses_exactly_the_non_nilpotent_bounds(operands):
     m, bound = operands
     if m.pow(bound).is_zero():
         assert m.nilpotent_series_inverse(bound) == (m + Gf2Matrix.identity(m.rows)).inverse()
+    else:
+        with pytest.raises(NotNilpotent):
+            m.nilpotent_series_inverse(bound)
+
+
+@st.composite
+def nilpotent_candidates(draw):
+    """(m, bound) for the series, with bound near the index that matters.
+
+    Either m is strictly lower triangular, n <= 40, with a bound in
+    n-2..n+1, or m = P J P^-1 for an invertible P and a J made of shift
+    blocks, which is nilpotent but not triangular, with a bound from 0
+    to n+1.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(0, 40))
+    if draw(st.booleans()):
+        density = draw(st.sampled_from([0.05, 0.3, 0.9]))
+        words = [sum(1 << j for j in range(i) if rng.random() < density) for i in range(n)]
+        return Gf2Matrix(n, n, words), draw(st.integers(max(0, n - 2), n + 1))
+    words: list[int] = []
+    while len(words) < n:
+        size = draw(st.integers(1, n - len(words)))
+        start = len(words)
+        words.extend([0] + [1 << (start + i) for i in range(size - 1)])
+    lower = [rng.getrandbits(i) | (1 << i) for i in range(n)]
+    upper = [(rng.getrandbits(n) >> (i + 1) << (i + 1)) | (1 << i) for i in range(n)]
+    p = Gf2Matrix(n, n, lower).mul(Gf2Matrix(n, n, upper))
+    return p.mul(Gf2Matrix(n, n, words)).mul(p.inverse()), draw(st.integers(0, n + 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(nilpotent_candidates())
+@example((Gf2Matrix.zeros(0, 0), 0))
+@example((Gf2Matrix(3, 3, [0, 1, 0b10]), 2))  # a full shift needs its whole index
+@example((Gf2Matrix(3, 3, [0, 1, 0b10]), 3))
+@example((Gf2Matrix(2, 2, [0b10, 0]), 1))  # nilpotent, strictly upper triangular
+def test_series_inverse_is_exact_on_nilpotent_matrices(operands):
+    m, bound = operands
+    rows = m.to_rows()
+    annihilated = oracle.is_zero(oracle.power(rows, bound))
+    if annihilated:
+        one_plus = oracle.mat_add(rows, oracle.identity(m.rows))
+        assert m.nilpotent_series_inverse(bound).to_rows() == oracle.inverse(one_plus)
     else:
         with pytest.raises(NotNilpotent):
             m.nilpotent_series_inverse(bound)

@@ -58,6 +58,23 @@ def test_perturbation_must_square_to_zero():
         Perturbation(base, {1: flip})
 
 
+def test_public_constructors_check_that_the_differential_squares_to_zero():
+    one = Gf2Matrix.identity(1)
+    with pytest.raises(BoundaryViolation):
+        FGChainComplex(0, 2, {0: 1, 1: 1, 2: 1}, {1: one, 2: one})
+    base = FGChainComplex(0, 2, {0: 1, 1: 1, 2: 1}, {1: one})
+    with pytest.raises(BoundaryViolation):
+        Perturbation(base, {2: one})
+
+
+def test_the_route_perturbation_must_land_on_its_target():
+    base = image_complex(5, 5, 0.6, 7)
+    other = image_complex(5, 5, 0.6, 8)
+    assert Perturbation._onto(base, {}, base).perturbed is base
+    with pytest.raises(ValueError, match="differs from the target"):
+        Perturbation._onto(base, {}, other)
+
+
 def test_perturbation_rejects_wrong_shapes():
     base = image_complex(4, 4, 0.8, 2)
     with pytest.raises(ValueError):
@@ -244,6 +261,25 @@ def test_vf_route_starts_from_the_trivial_block_reduction(monkeypatch, width, he
     assert trivial.g(0) == vstack(zeros(nv, s0), eye(s0))
     assert trivial.g(1) == vstack(zeros(nv, s1), eye(s1))
     assert trivial.h(0) == join4(eye(nv), zeros(nv, s0), zeros(s1, nv), zeros(s1, s0))
+
+
+def test_certified_image_forms_the_boundary_product_only_where_fast_mode_does(monkeypatch):
+    # The five D1 . D2-shaped calls are those of fast mode: construction,
+    # checks["boundary"], reorder's copy, hexagonal_reduce and betti. The
+    # perturbation route builds its complexes from ones already checked.
+    img = random_image(24, 24, 0.6, 5)
+    shapes = []
+    mul = Gf2Matrix.mul
+
+    def counting(a, b):
+        shapes.append((a.rows, a.cols, b.cols))
+        return mul(a, b)
+
+    monkeypatch.setattr(Gf2Matrix, "mul", counting)
+    res = pipeline.reduce_pipeline(img)
+    monkeypatch.undo()
+    assert res.ok and res.checks["bpl_match"] is True
+    assert shapes.count(res.original.dims()) == 5
 
 
 def count_verifications(monkeypatch, failing_in=()):

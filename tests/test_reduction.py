@@ -162,15 +162,20 @@ def test_fast_pipeline_forms_no_unread_product(monkeypatch):
 def spy_products(monkeypatch):
     """Log (left, right, formed) for every Gf2Matrix.mul call.
 
-    formed says whether the call ran the row loop, rather than answering
-    from the left factor's record or an identity factor.
+    formed says whether the call ran the row loop or the inner-product
+    loop, rather than answering from the left factor's record or an
+    identity factor.
     """
     log, loops = [], []
-    mul, rows = Gf2Matrix.mul, gf2._mul_rows
+    mul, rows, columns = Gf2Matrix.mul, gf2._mul_rows, gf2._mul_columns
 
     def counting_rows(words, obits):
         loops.append(None)
         return rows(words, obits)
+
+    def counting_columns(words, cols):
+        loops.append(None)
+        return columns(words, cols)
 
     def logging_mul(a, b):
         before = len(loops)
@@ -179,6 +184,7 @@ def spy_products(monkeypatch):
         return out
 
     monkeypatch.setattr(gf2, "_mul_rows", counting_rows)
+    monkeypatch.setattr(gf2, "_mul_columns", counting_columns)
     monkeypatch.setattr(Gf2Matrix, "mul", logging_mul)
     return log
 
