@@ -69,10 +69,12 @@ def test_public_constructors_check_that_the_differential_squares_to_zero():
 
 def test_the_route_perturbation_must_land_on_its_target():
     base = image_complex(5, 5, 0.6, 7)
-    other = image_complex(5, 5, 0.6, 8)
     assert Perturbation._onto(base, {}, base).perturbed is base
-    with pytest.raises(ValueError, match="differs from the target"):
-        Perturbation._onto(base, {}, other)
+    flat = FGChainComplex(0, 2, {k: base.dim(k) for k in base.degrees()})
+    assert flat != base  # same modules, zero differential
+    for target in (image_complex(5, 5, 0.6, 8), flat):
+        with pytest.raises(ValueError, match="differs from the target"):
+            Perturbation._onto(base, {}, target)
 
 
 def test_perturbation_rejects_wrong_shapes():
