@@ -124,8 +124,9 @@ class Gf2Matrix:
 
     def is_identity(self) -> bool:
         # The last and first rows reject most square non-identities at
-        # once, before the full scan: row i is 1 << i exactly when its
-        # highest bit is bit i, and then n set bits in all leave one per row.
+        # once. The full scan then asks that row i's highest set bit be
+        # bit i, so each row holds at least that bit, and that there be n
+        # set bits in all, so each row holds only that bit.
         n = self.rows
         if n != self.cols:
             return False
