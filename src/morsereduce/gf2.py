@@ -43,7 +43,10 @@ class Gf2Matrix:
     ``_record`` is None or ``(right, is_identity)``: the right factor of
     the last product ``mul`` formed with this matrix on the left that
     came out zero (False) or the identity (True). It holds nothing else,
-    and in particular no product.
+    and in particular no product. ``_permute_pair`` also carries a zero
+    record across a permutation: when A recorded B as a zero product,
+    (P A Q^-1)(Q B R^-1) = P (A B) R^-1 is zero too, so the permuted A
+    records the permuted B, and no product of the two is formed.
     """
 
     __slots__ = ("rows", "cols", "bits", "_record")
@@ -382,6 +385,12 @@ class Gf2Matrix:
             )
         cmap = col_perm.image
         out = [0] * self.rows
+        if all(map(eq, cmap, range(self.cols))):
+            # The columns stay put, so each row word moves whole; rows are
+            # immutable ints, and the result shares them with self.
+            for i, word in zip(row_perm.image, self.bits):
+                out[i] = word
+            return Gf2Matrix._raw(self.rows, self.cols, tuple(out))
         for i, word in enumerate(self.bits):
             acc = 0
             while word:
@@ -420,6 +429,29 @@ class Gf2Matrix:
         tl, tr = top.split_cols(j)
         bl, br = bottom.split_cols(j)
         return tl, tr, bl, br
+
+
+def _permute_pair(
+    left: Gf2Matrix,
+    right: Gf2Matrix,
+    row_perm: Permutation,
+    mid_perm: Permutation,
+    col_perm: Permutation,
+) -> tuple[Gf2Matrix, Gf2Matrix]:
+    """left and right permuted with one permutation between them, the zero record carried.
+
+    Returns left.permute(row_perm, mid_perm) and right.permute(mid_perm,
+    col_perm). Their product is the permuted product of left and right,
+    so when left's record names right itself (``is``) as a zero product,
+    the permuted left records the permuted right as one (see Gf2Matrix).
+    Any other record is not carried, and a later product is formed.
+    """
+    left_p = left.permute(row_perm, mid_perm)
+    right_p = right.permute(mid_perm, col_perm)
+    record = left._record
+    if record is not None and record[0] is right and not record[1]:
+        object.__setattr__(left_p, "_record", (right_p, False))
+    return left_p, right_p
 
 
 # The widest right factor for which mul may form entries as inner products.

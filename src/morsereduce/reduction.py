@@ -17,7 +17,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .complexes import FGChainComplex, ReductionTriple, TruncatedComplex
-from .gf2 import Gf2Matrix, Permutation
+from .gf2 import Gf2Matrix, Permutation, _permute_pair
 from .vectorfield import DiscreteVectorField
 
 __all__ = [
@@ -122,8 +122,9 @@ def reorder(t: TruncatedComplex, vf: DiscreteVectorField) -> ReorderedComplex:
     nv = vf.nv
     row_perm = _front_permutation(t.c0, [r for r, _ in vf.pairs], "row")
     col_perm = _front_permutation(t.c1, [c for _, c in vf.pairs], "column")
-    d1r = t.d1.permute(row_perm, col_perm)
-    d2r = t.d2.permute(col_perm, Permutation.identity(t.c2))
+    # D2's columns stay put, so its rows move whole; D1 . D2 = 0, once
+    # checked on t, is carried to the permuted pair without a product.
+    d1r, d2r = _permute_pair(t.d1, t.d2, row_perm, col_perm, Permutation.identity(t.c2))
     splits = {0: (0, nv, t.c0 - nv), 1: (nv, 0, t.c1 - nv), 2: (0, 0, t.c2)}
     split = SplitComplex(TruncatedComplex(d1r, d2r), splits)
     _, (block_l, _, block_t), (block_s, _, block_r) = split.blocks(1)

@@ -2,8 +2,9 @@
 
 Everything here is deliberately naive and shares no code with the
 package: matrices are lists of 0/1 lists, elimination is textbook row
-reduction, components come from a coordinate-keyed union-find, and the
-pixel stream generator is a from-scratch SplitMix64.
+reduction, cubical cells and components come from coordinate-keyed sets
+and a union-find, and the pixel stream generator is a from-scratch
+SplitMix64.
 """
 
 from __future__ import annotations
@@ -220,6 +221,38 @@ def rs_greedy(a: Matrix, cols: int) -> tuple[list[tuple[int, int]], set[tuple[in
 def betti_from_matrices(dims: tuple[int, int, int], d1: Matrix, d2: Matrix) -> tuple[int, int, int]:
     r1, r2 = rank(d1), rank(d2)
     return (dims[0] - r1, dims[1] - r1 - r2, dims[2] - r2)
+
+
+def cubical_cells(
+    pixels: set[tuple[int, int]],
+) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...], tuple[tuple[int, int, int, int], ...]]:
+    """The cells of the closed unit squares on the pixels: (vertices, edges, squares).
+
+    Each pixel (r, c) puts its four corners, its four sides and itself in
+    coordinate-keyed sets. Vertices are sorted by (row, col); an edge is
+    keyed by its first endpoint and its orientation, 0 for horizontal
+    (to (r, c + 1)) before 1 for vertical (to (r + 1, c)), sorted, and
+    given as a pair of vertex indices; a square is its sides' edge
+    indices (top, left, right, bottom), in pixel row-major order.
+    """
+    vertex_set: set[tuple[int, int]] = set()
+    edge_set: set[tuple[int, int, int]] = set()
+    for r, c in pixels:
+        vertex_set.update(((r, c), (r, c + 1), (r + 1, c), (r + 1, c + 1)))
+        edge_set.update(((r, c, 0), (r + 1, c, 0), (r, c, 1), (r, c + 1, 1)))
+    vertices = sorted(vertex_set)
+    vertex_index = {v: i for i, v in enumerate(vertices)}
+    edge_keys = sorted(edge_set)
+    edge_index = {e: i for i, e in enumerate(edge_keys)}
+    edges = tuple(
+        (vertex_index[(r, c)], vertex_index[(r, c + 1) if horizontal == 0 else (r + 1, c)])
+        for r, c, horizontal in edge_keys
+    )
+    squares = tuple(
+        (edge_index[(r, c, 0)], edge_index[(r, c, 1)], edge_index[(r, c + 1, 1)], edge_index[(r + 1, c, 0)])
+        for r, c in sorted(pixels)
+    )
+    return tuple(vertices), edges, squares
 
 
 def count_components_uf(pixels: set[tuple[int, int]]) -> int:

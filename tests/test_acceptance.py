@@ -18,7 +18,7 @@ from morsereduce.pipeline import reduce_pipeline
 from morsereduce.reduction import hexagonal_reduce, reorder
 from morsereduce.vectorfield import check_admissible, rs_algorithm, sort_by_lambda
 
-from oracle import count_components_uf, count_holes_4
+from oracle import count_components_uf, count_holes_4, cubical_cells
 
 
 def _report(ok, name, detail):
@@ -55,7 +55,9 @@ def test_homology_matches_an_independent_oracle():
     every one of the 65536 images of size 4x4: betti(reduced) equals
     betti(original) exactly, betti_0 equals the union-find component
     count, betti_1 equals the number of 4-connected background components
-    that do not touch the border, and betti_2 is 0. Budget: 120 s total.
+    that do not touch the border, and betti_2 is 0. The cell counts equal
+    the set-and-sort oracle's, and c0 - c1 + c2 = b0 - b1 + b2. Budget:
+    120 s total.
     """
     start = time.perf_counter()
     bad = []
@@ -63,11 +65,15 @@ def test_homology_matches_an_independent_oracle():
     def check(img, label):
         res = reduce_pipeline(img, fast=True)
         pixels = set(img.foreground())
+        c0, c1, c2 = res.original.dims()
+        b = res.betti_original
         ok = (
-            res.betti_original == res.betti_reduced
-            and res.betti_original[0] == count_components_uf(pixels)
-            and res.betti_original[1] == count_holes_4(pixels, img.height, img.width)
-            and res.betti_original[2] == 0
+            (c0, c1, c2) == tuple(map(len, cubical_cells(pixels)))
+            and c0 - c1 + c2 == b[0] - b[1] + b[2]
+            and b == res.betti_reduced
+            and b[0] == count_components_uf(pixels)
+            and b[1] == count_holes_4(pixels, img.height, img.width)
+            and b[2] == 0
         )
         if not ok:
             bad.append(label)

@@ -2,6 +2,10 @@
 
 import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from morsereduce.complexes import betti
 from morsereduce.cubical import boundary_matrices, build_cubical
 from morsereduce.image import BinaryImage, random_image
@@ -84,3 +88,51 @@ def test_squares_reference_their_four_sides():
         rs = [cx.vertices[v][0] for v in verts]
         cs = [cx.vertices[v][1] for v in verts]
         assert max(rs) - min(rs) == 1 and max(cs) - min(cs) == 1
+
+
+def assert_cells_match_the_oracle(img):
+    cx = build_cubical(img)
+    vertices, edges, squares = oracle.cubical_cells(set(img.foreground()))
+    assert cx.vertices == vertices
+    assert cx.edges == edges
+    assert cx.squares == squares
+
+
+@st.composite
+def images(draw, largest=20):
+    width, height = draw(st.integers(0, largest)), draw(st.integers(0, largest))
+    return BinaryImage(width, height, draw(st.integers(0, (1 << (width * height)) - 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(images())
+def test_grid_scan_matches_the_set_and_sort_oracle(img):
+    assert_cells_match_the_oracle(img)
+
+
+def _full(width, height):
+    return BinaryImage(width, height, (1 << (width * height)) - 1)
+
+
+# Ids are width x height.
+@pytest.mark.parametrize(
+    "img",
+    [
+        BinaryImage(0, 5, 0),
+        BinaryImage(5, 0, 0),
+        BinaryImage(0, 0, 0),
+        BinaryImage(7, 6, 0),
+        _full(7, 6),
+        _full(1, 1),
+        _full(9, 1),
+        _full(1, 9),
+        BinaryImage.from_rows([[1, 0, 1, 1, 0, 0, 1]]),
+        BinaryImage.from_rows([[1], [0], [1], [1], [0], [0], [1]]),
+        BinaryImage.from_rows([[(r + c) % 2 for c in range(8)] for r in range(7)]),
+        BinaryImage.from_rows([[(r + c + 1) % 2 for c in range(7)] for r in range(8)]),
+    ],
+    ids=["0x5", "5x0", "0x0", "background", "foreground", "1x1", "9x1", "1x9",
+         "7x1", "1x7", "checkerboard", "checkerboard-shifted"],
+)
+def test_grid_scan_matches_the_oracle_on_edge_cases(img):
+    assert_cells_match_the_oracle(img)

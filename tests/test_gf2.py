@@ -433,6 +433,68 @@ def test_permute_matches_the_textbook_on_wide_sparse_rows(m, seed):
     assert got.to_rows() == oracle.permute(m.to_rows(), rows, cols)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.tuples(SMALL, WIDE).flatmap(lambda s: kernel_matrices(*s, wide=True)),
+    st.tuples(st.integers(0, 300), SMALL).flatmap(lambda s: kernel_matrices(*s, wide=True)),
+    st.tuples(SMALL, SMALL).flatmap(lambda s: kernel_matrices(*s)),
+), st.integers(0, 2**32 - 1))
+@example(Gf2Matrix.zeros(0, 7), 0)
+@example(Gf2Matrix.zeros(7, 0), 0)
+def test_permute_with_fixed_columns_moves_the_row_words_themselves(m, seed):
+    rng = random.Random(seed)
+    rows = list(range(m.rows))
+    rng.shuffle(rows)
+    got = m.permute(Permutation(tuple(rows)), Permutation.identity(m.cols))
+    assert got.to_rows() == oracle.permute(m.to_rows(), rows, list(range(m.cols)))
+    assert all(got.bits[i] is word for i, word in zip(rows, m.bits))
+
+
+def boundary_pair():
+    """A 2x3 d1 and a 3x1 d2 with d1 d2 = 0, and permutations to move them."""
+    d1 = Gf2Matrix(2, 3, [0b011, 0b110])
+    d2 = Gf2Matrix(3, 1, [1, 1, 1])
+    return d1, d2, Permutation((1, 0)), Permutation((2, 0, 1)), Permutation.identity(1)
+
+
+def test_permute_pair_carries_the_zero_record_that_names_the_right_factor(monkeypatch):
+    d1, d2, rows, mid, cols = boundary_pair()
+    assert d1.mul(d2).is_zero() and d1._record[0] is d2
+    d1p, d2p = gf2._permute_pair(d1, d2, rows, mid, cols)
+    assert d1p == d1.permute(rows, mid) and d2p == d2.permute(mid, cols)
+    assert d1p._record[0] is d2p and d1p._record[1] is False
+    loops = []
+    for name in ("_mul_rows", "_mul_columns"):
+        loop = getattr(gf2, name)
+        monkeypatch.setattr(gf2, name, lambda w, o, loop=loop: loops.append(None) or loop(w, o))
+    assert d1p.mul(d2p).is_zero() and loops == []
+    assert d1.permute(rows, mid).mul(d2p).is_zero() and len(loops) == 1
+
+
+def test_permute_pair_carries_no_other_record():
+    cases = []
+    d1, d2, *_ = boundary_pair()
+    cases.append((d1, d2))  # no product formed yet: no record
+    d1, d2, *_ = boundary_pair()
+    d1.mul(Gf2Matrix(d2.rows, d2.cols, d2.bits))  # names an equal copy, not d2 itself
+    cases.append((d1, d2))
+    d1, d2, *_ = boundary_pair()
+    d1.mul(d2)
+    d1.mul(Gf2Matrix.zeros(3, 2))  # overwritten by another zero product
+    cases.append((d1, d2))
+    a = Gf2Matrix(3, 3, [1, 0b11, 0b101])
+    inv = a.inverse()
+    a.mul(inv)  # names inv, but as the identity
+    cases.append((a, inv))
+    for left, right in cases:
+        assert left._record is None or left._record[0] is not right or left._record[1]
+        left_p, _ = gf2._permute_pair(
+            left, right, Permutation.identity(left.rows), Permutation.identity(left.cols),
+            Permutation.identity(right.cols),
+        )
+        assert left_p._record is None
+
+
 @st.composite
 def unit_lower(draw, largest=300):
     """Unit lower triangular: 0-4 ones left of the diagonal per row, or dense and small."""

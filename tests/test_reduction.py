@@ -139,9 +139,9 @@ def test_empty_image_reduces_to_nothing():
 
 def test_fast_pipeline_forms_no_unread_product(monkeypatch):
     # Fast mode reads no f, g or h, so L^-1 T (which feeds only g) is never
-    # formed. D1 . D2 is formed five times, as before: on construction, for
+    # formed. mul is called on D1 . D2 five times: on construction, for
     # checks["boundary"], on the reordered copy, in hexagonal_reduce and in
-    # betti of the original.
+    # betti of the original (the next test counts the products formed).
     img = random_image(24, 24, 0.5, 11)
     shapes = []
     mul = Gf2Matrix.mul
@@ -192,15 +192,44 @@ def spy_products(monkeypatch):
 def test_fast_pipeline_forms_each_boundary_product_once_per_pair_of_factors(monkeypatch):
     # The five D1 . D2 calls of fast mode (see above) run on two pairs of
     # factors: the original D1, D2 (construction, checks["boundary"], betti)
-    # and the reordered copy (construction, hexagonal_reduce). A repeat on
-    # the same factors is answered from the record of the first product.
+    # and the reordered copy (construction, hexagonal_reduce). Only the
+    # first call forms the product: a repeat on the same factors is
+    # answered from the record it left, and reorder carries that zero
+    # record to the permuted pair.
     img = random_image(24, 24, 0.5, 11)
     log = spy_products(monkeypatch)
     res = reduce_pipeline(img, fast=True)
     monkeypatch.undo()
-    boundary = [formed for a, b, formed in log if (a.rows, a.cols, b.cols) == res.original.dims()]
+    boundary = boundary_products(log, res.original)
     assert len(boundary) == 5
-    assert boundary.count(True) == 2
+    assert boundary.count(True) == 1
+
+
+def boundary_products(log, t):
+    """The formed flags of the logged products of t's D1 . D2 shape."""
+    return [formed for a, b, formed in log if (a.rows, a.cols, b.cols) == t.dims()]
+
+
+def test_reorder_carries_the_boundary_record_to_the_permuted_pair(monkeypatch):
+    t = image_complex(12, 10, 0.6, 7)
+    assert t.d1._record[0] is t.d2  # left by the constructor's check
+    log = spy_products(monkeypatch)
+    rc = reorder_of(t)
+    monkeypatch.undo()
+    d1r, d2r = rc.reordered.d1, rc.reordered.d2
+    assert d1r._record == (d2r, False) and d1r._record[0] is d2r
+    assert boundary_products(log, t) == [False]
+    assert all(d2r.bits[rc.col_perm(i)] is word for i, word in enumerate(t.d2.bits))
+
+
+def test_reorder_forms_the_boundary_product_when_the_record_names_another_factor(monkeypatch):
+    t = image_complex(12, 10, 0.6, 7)
+    assert t.d1.mul(Gf2Matrix.zeros(t.c1, 3)).is_zero()  # overwrites the record
+    log = spy_products(monkeypatch)
+    rc = reorder_of(t)
+    monkeypatch.undo()
+    assert boundary_products(log, t) == [True]
+    assert rc.reordered.d1._record[0] is rc.reordered.d2
 
 
 def test_certified_pivot_check_reuses_the_series_check(monkeypatch):
