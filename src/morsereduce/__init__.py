@@ -45,7 +45,6 @@ from .perturbation import (
     bpl,
     decompose,
     hexagonal_general,
-    nilpotency_bound,
     vf_reduction_via_bpl,
 )
 from .pipeline import PipelineResult, reduce_pipeline, report_dict
@@ -104,7 +103,6 @@ __all__ = [
     "hstack",
     "join4",
     "load_image",
-    "nilpotency_bound",
     "parse_matrix_text",
     "parse_pbm",
     "parse_pgm",

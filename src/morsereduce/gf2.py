@@ -8,7 +8,7 @@ zero-dimensional matrices compose like any other.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import repeat
 from operator import eq, le
@@ -47,9 +47,15 @@ class Gf2Matrix:
     record across a permutation: when A recorded B as a zero product,
     (P A Q^-1)(Q B R^-1) = P (A B) R^-1 is zero too, so the permuted A
     records the permuted B, and no product of the two is formed.
+
+    ``_pin`` is None or a _Pin: a claim, made by the block elimination,
+    that this matrix is a homotopy [L^-1 in one column band; 0] or a lift
+    [L^-1 T; 0; I] for a unit lower triangular L. Like the record, it
+    names factors and holds no product; mul checks it on this matrix's
+    own bits before it relies on it (see _Pin).
     """
 
-    __slots__ = ("rows", "cols", "bits", "_record")
+    __slots__ = ("rows", "cols", "bits", "_record", "_pin")
 
     rows: int
     cols: int
@@ -68,6 +74,7 @@ class Gf2Matrix:
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "bits", packed)
         object.__setattr__(self, "_record", None)
+        object.__setattr__(self, "_pin", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Gf2Matrix is immutable")
@@ -80,6 +87,7 @@ class Gf2Matrix:
         object.__setattr__(m, "cols", cols)
         object.__setattr__(m, "bits", bits)
         object.__setattr__(m, "_record", None)
+        object.__setattr__(m, "_pin", None)
         return m
 
     @classmethod
@@ -205,14 +213,18 @@ class Gf2Matrix:
             return other
         if other.is_identity():
             return self
-        # The row loop costs one step per set bit of this factor; with a
-        # narrow right factor, one inner product per entry of the product
-        # can cost less. The width test comes first, so wide products
-        # never count their bits.
-        if other.cols <= _NARROW and self.rows * other.cols < sum(map(int.bit_count, self.bits)):
-            words = _mul_columns(self.bits, _transpose_words(other.bits, other.cols))
-        else:
-            words = _mul_rows(self.bits, other.bits)
+        # A pinned factor answers by forward substitution through its L,
+        # once its claim has held on its bits. Otherwise the row loop costs
+        # one step per set bit of this factor; with a narrow right factor,
+        # one inner product per entry of the product can cost less. The
+        # width test comes first, so wide products never count their bits.
+        pin = self._pin
+        words = None if pin is None else self._pinned_product(pin, other)
+        if words is None:
+            if other.cols <= _NARROW and self.rows * other.cols < sum(map(int.bit_count, self.bits)):
+                words = _mul_columns(self.bits, _transpose_words(other.bits, other.cols))
+            else:
+                words = _mul_rows(self.bits, other.bits)
         product = Gf2Matrix._raw(self.rows, other.cols, words)
         # A square that recorded itself would be freed only by the cycle
         # collector, so a matrix's own square is not recorded.
@@ -226,8 +238,54 @@ class Gf2Matrix:
     def __matmul__(self, other: Gf2Matrix) -> Gf2Matrix:
         return self.mul(other)
 
+    def _pinned_product(self, pin: _Pin, other: Gf2Matrix) -> tuple[int, ...] | None:
+        """The row words of self·other through self's pin, or None for the row loop.
+
+        The pin is checked once, on the first call; if it fails or does
+        not pay (see _Pin.holds), it is dropped and None is returned.
+        """
+        if not pin.checked:
+            if not pin.holds(self):
+                object.__setattr__(self, "_pin", None)
+                return None
+            pin.checked = True
+        lower, rhs = pin.lower, pin.rhs
+        a = lower.rows
+        if rhs is None:  # h = [L^-1 in columns offset.. offset + a; 0]
+            top = lower._forward(other.bits[pin.offset : pin.offset + a])
+            return top + (0,) * (self.rows - a)
+        # g = [L^-1 T; 0; I], so g X = [L^-1 (T X); 0; X]
+        top = lower._forward(_mul_rows(rhs.bits, other.bits))
+        return top + (0,) * (self.rows - a - self.cols) + other.bits
+
     def transpose(self) -> Gf2Matrix:
         return Gf2Matrix._raw(self.cols, self.rows, _transpose_words(self.bits, self.cols))
+
+    def _power_is_zero(self, k: int) -> bool:
+        """Whether self^k = 0, decided exactly.
+
+        Entry (i, j) of self^k sums over the chains i = i0, i1, ..., ik = j
+        of k steps along nonzero entries. In a strictly lower triangular
+        matrix every step goes to a smaller index, so one pass over the set
+        bits finds the longest chain from each row; if every chain has
+        fewer than k steps, self^k = 0 with no product. Any other case
+        computes pow(k).
+        """
+        if self._is_strictly_lower():
+            steps: list[int] = []  # steps[i]: the longest chain from row i
+            for word in self.bits:
+                longest = 0
+                while word:
+                    j = word.bit_length() - 1
+                    if steps[j] >= longest:
+                        longest = steps[j] + 1
+                    word ^= 1 << j
+                if longest >= k:
+                    break
+                steps.append(longest)
+            else:
+                return True
+        return self.pow(k).is_zero()
 
     def pow(self, k: int) -> Gf2Matrix:
         if self.rows != self.cols:
@@ -353,23 +411,23 @@ class Gf2Matrix:
         Requires ``self.pow(bound)`` to vanish; raises NotNilpotent otherwise.
         Over GF(2) the sum telescopes, (I + self) S = I + self^bound, so it
         inverts I + self exactly when self^bound = 0, and is then that
-        inverse. Whether self^bound = 0 is decided exactly: a strictly
-        lower triangular n x n matrix has self^n = 0, so a bound of at
-        least n needs no power, and any other case computes self^bound.
-        The inverse comes from forward substitution when I + self is unit
-        lower triangular and from inverse() otherwise. Both (I + self) S = I
-        and S (I + self) = I are checked on the result.
+        inverse. Whether self^bound = 0 is decided exactly by
+        _power_is_zero: a strictly lower triangular matrix whose chains of
+        nonzero entries are all shorter than bound needs no power, and any
+        other case computes self^bound. The inverse comes from forward
+        substitution when I + self is unit lower triangular and from
+        inverse() otherwise. Both (I + self) S = I and S (I + self) = I are
+        checked on the result.
         """
         if self.rows != self.cols:
             raise ValueError(f"series needs a square matrix, got {self.rows}x{self.cols}")
         if bound < 0:
             raise ValueError("negative bound")
         n = self.rows
-        strict = self._is_strictly_lower()
-        if not (strict and bound >= n) and not self.pow(bound).is_zero():
+        if not self._power_is_zero(bound):
             raise NotNilpotent(f"matrix^{bound} is nonzero")
         one_plus = self + Gf2Matrix.identity(n)
-        if strict:
+        if self._is_strictly_lower():
             total = Gf2Matrix._raw(n, n, one_plus._forward(_unit_words(n)))
         else:
             total = one_plus.inverse()
@@ -458,22 +516,85 @@ def _permute_pair(
 _NARROW = 64
 
 
+class _Pin:
+    """A claim that a matrix is h = [0 U 0; 0 0 0] with U = L^-1, or g = [L^-1 T; 0; I].
+
+    lower is the unit lower triangular a x a block L, and rhs is None
+    for h or the a x c block T for g. For h, U fills the top a rows in
+    columns offset to offset + a; for g, the a rows of the lift are
+    followed by zero rows and then the c x c identity. The pin names
+    blocks its maker keeps anyway and holds no product and no copy.
+
+    holds(m) checks the claim once, on m's own bits: U's rows lie in
+    their band and L U = I, or L lift = T and the rows below the lift
+    are [0; I]; every other row of m is zero. Each product L U and
+    L lift is compared row by row with I or T as it is formed, so
+    neither is kept. Then m B for h is [L^-1 (B's rows offset..); 0]
+    and m X for g is [L^-1 (T X); 0; X], both by forward substitution
+    in nnz(L) row XORs where the row loop costs nnz(U) or nnz(lift).
+    The check and the solves pay only when U or the lift holds more set
+    bits than L and T together, so holds() is False for one that does
+    not, and mul keeps its row loop.
+    """
+
+    __slots__ = ("lower", "rhs", "offset", "checked")
+
+    def __init__(self, lower: Gf2Matrix, rhs: Gf2Matrix | None = None, offset: int = 0):
+        self.lower = lower
+        self.rhs = rhs
+        self.offset = offset
+        self.checked = False
+
+    def holds(self, m: Gf2Matrix) -> bool:
+        lower, rhs = self.lower, self.rhs
+        a = lower.rows
+        top, rest = m.bits[:a], m.bits[a:]
+        fill = sum(map(int.bit_count, lower.bits))
+        if rhs is not None:
+            fill += sum(map(int.bit_count, rhs.bits))
+        if (
+            not lower.is_lower_unitriangular()
+            or len(top) < a
+            or sum(map(int.bit_count, top)) <= fill
+        ):
+            return False
+        if rhs is None:
+            offset = self.offset
+            outside = ~(((1 << a) - 1) << offset)
+            if m.cols < offset + a or any(rest) or any(w & outside for w in top):
+                return False
+            band = tuple(w >> offset for w in top)
+            target: Iterable[int] = _unit_words(a)
+        else:
+            c = m.cols
+            b = m.rows - a - c
+            if (rhs.rows, rhs.cols) != (a, c) or b < 0 or any(rest[:b]):
+                return False
+            if rest[b:] != tuple(_unit_words(c)):
+                return False
+            band, target = top, rhs.bits
+        return all(map(eq, _row_products(lower.bits, band), target))
+
+
 def _unit_words(n: int) -> Iterable[int]:
     """The row words 1 << i of the n x n identity, shifted at C speed."""
     return map(int.__lshift__, repeat(1, n), range(n))
 
 
 def _mul_rows(words: Iterable[int], obits: tuple[int, ...]) -> tuple[int, ...]:
-    """The row loop of a product: each row word selects rows of obits to XOR."""
-    out = []
+    """The row loop of a product, formed whole."""
+    return tuple(_row_products(words, obits))
+
+
+def _row_products(words: Iterable[int], obits: tuple[int, ...]) -> Iterator[int]:
+    """The rows of a product one at a time: each row word selects rows of obits to XOR."""
     for word in words:
         acc = 0
         while word:
             j = word.bit_length() - 1
             acc ^= obits[j]
             word ^= 1 << j
-        out.append(acc)
-    return tuple(out)
+        yield acc
 
 
 def _mul_columns(words: Iterable[int], columns: Sequence[int]) -> tuple[int, ...]:

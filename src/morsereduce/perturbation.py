@@ -34,7 +34,6 @@ __all__ = [
     "decompose",
     "hexagonal_general",
     "bpl",
-    "nilpotency_bound",
     "vf_reduction_via_bpl",
 ]
 
@@ -229,50 +228,6 @@ def hexagonal_general(
     return triple
 
 
-def nilpotency_bound(p: Perturbation, h: Mapping[int, Gf2Matrix]) -> int | None:
-    """Smallest m with pow(delta(k) h(k-1), m) = 0 in every degree, or None.
-
-    The composites are square; a nonzero n x n matrix that is nilpotent at
-    all has index at most n, so the search is capped by the dimensions.
-    """
-    worst = 0
-    base = p.base
-    for k in range(base.lo, base.hi + 1):
-        n = base.dim(k)
-        if n == 0:
-            continue
-        h_k = h.get(k, Gf2Matrix.zeros(base.dim(k + 1), n))
-        idx = _nilpotency_index(p.delta(k + 1).mul(h_k))
-        if idx is None:
-            return None
-        worst = max(worst, idx)
-    return worst
-
-
-def _nilpotency_index(x: Gf2Matrix) -> int | None:
-    """Smallest m >= 0 with x^m = 0, or None if x is not nilpotent."""
-    n = x.rows
-    if n == 0:
-        return 0
-    if x.is_zero():
-        return 1
-    e = 1
-    p = x
-    while not p.is_zero():
-        if e >= n:
-            return None  # a nilpotent n x n matrix has index at most n
-        p = p.mul(p)
-        e *= 2
-    lo, hi = e // 2, e  # x^lo != 0, x^hi = 0
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if x.pow(mid).is_zero():
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 def bpl(
     r: ReductionTriple, p: Perturbation, m: int, *, verify: bool = True
 ) -> ReductionTriple:
@@ -286,7 +241,10 @@ def bpl(
     With delta = 0 this reproduces the input reduction exactly.
 
     The nilpotency pre-check, decompose's assertions and the series
-    inverse's checks always run. With verify=True (the default) the
+    inverse's checks always run. The pre-check is exact and forms no
+    power when delta h is strictly lower triangular with chains shorter
+    than m, as it is on vf_reduction_via_bpl's route (see
+    Gf2Matrix._power_is_zero). With verify=True (the default) the
     returned triple passes verify_reduction. That one check also covers
     the inner triple in the split basis, which is therefore built with
     verify=False: the returned triple is the inner one conjugated by phi,
@@ -299,7 +257,7 @@ def bpl(
     if p.base != big:
         raise ValueError("perturbation base differs from the reduction's big complex")
     for k in range(big.lo + 1, big.hi + 1):
-        if not p.delta(k).mul(r.h(k - 1)).pow(m).is_zero():
+        if not p.delta(k).mul(r.h(k - 1))._power_is_zero(m):
             raise NotNilpotent(f"delta h is not annihilated by exponent {m} in degree {k}")
 
     dec = decompose(r)

@@ -17,7 +17,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .complexes import FGChainComplex, ReductionTriple, TruncatedComplex
-from .gf2 import Gf2Matrix, Permutation, _permute_pair
+from .gf2 import Gf2Matrix, Permutation, _permute_pair, _Pin
 from .vectorfield import DiscreteVectorField
 
 __all__ = [
@@ -174,7 +174,9 @@ def _eliminate(sc: SplitComplex, u: Mapping[int, Gf2Matrix]) -> ReductionTriple:
     # h(k) = [0 u 0; 0 0 0], each assembled directly from row words. Since
     # u inverts d21, u d23 is the X with d21 X = d23: forward substitution
     # finds it in nnz(d21) row XORs when d21 is unit lower triangular, as
-    # the pair split's L is, where the product costs nnz(u).
+    # the pair split's L is, where the product costs nnz(u). Such a d21
+    # also pins g and h (gf2._Pin), so that products with them on the
+    # left are solved through d21 too, once mul has checked the pin.
     def f(k: int) -> Gf2Matrix | None:
         if not lo <= k <= hi:
             return None
@@ -187,18 +189,27 @@ def _eliminate(sc: SplitComplex, u: Mapping[int, Gf2Matrix]) -> ReductionTriple:
             return None
         a, b, c = sc.split(k)
         _, (d21, _, d23), _ = sc.blocks(k)
-        if d21.is_lower_unitriangular():
+        triangular = d21.is_lower_unitriangular()
+        if triangular:
             lift = d21.solve_unit_lower(d23)
         else:
             lift = u.get(k, empty).mul(d23)
-        return Gf2Matrix(a + b + c, c, lift.bits + (0,) * b + tuple(1 << i for i in range(c)))
+        m = Gf2Matrix(a + b + c, c, lift.bits + (0,) * b + tuple(1 << i for i in range(c)))
+        if triangular and a:
+            object.__setattr__(m, "_pin", _Pin(d21, d23))
+        return m
 
     def h(k: int) -> Gf2Matrix | None:
         if not lo <= k <= hi:
             return None
         a, b, c = sc.split(k)
         top = [w << a for w in u.get(k + 1, empty).bits]
-        return Gf2Matrix(cx.dim(k + 1), a + b + c, top + [0] * (cx.dim(k + 1) - len(top)))
+        m = Gf2Matrix(cx.dim(k + 1), a + b + c, top + [0] * (cx.dim(k + 1) - len(top)))
+        if top:
+            d21 = sc.blocks(k + 1)[1][0]
+            if d21.is_lower_unitriangular():
+                object.__setattr__(m, "_pin", _Pin(d21, offset=a))
+        return m
 
     return ReductionTriple(cx, small, f, g, h)
 

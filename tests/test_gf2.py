@@ -4,7 +4,7 @@ import gc
 import random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from morsereduce import gf2
@@ -826,6 +826,178 @@ def test_series_inverse_is_exact_on_nilpotent_matrices(operands):
     else:
         with pytest.raises(NotNilpotent):
             m.nilpotent_series_inverse(bound)
+
+
+def strict_or_square(rng, n, density, strict):
+    """An n x n matrix of the given density, strictly lower triangular or not."""
+    return Gf2Matrix(n, n, [
+        sum(1 << j for j in range(i if strict else n) if rng.random() < density)
+        for i in range(n)
+    ])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 12),
+    density=st.sampled_from([0.05, 0.2, 0.5, 0.9]),
+    strict=st.booleans(),
+)
+@example(seed=0, n=0, density=0.5, strict=True)
+@example(seed=0, n=12, density=0.0, strict=False)
+def test_power_is_zero_agrees_with_the_textbook_power(seed, n, density, strict):
+    m = strict_or_square(random.Random(seed), n, density, strict)
+    rows = m.to_rows()
+    for k in range(n + 2):
+        assert m._power_is_zero(k) == oracle.is_zero(oracle.power(rows, k))
+
+
+def test_power_is_zero_forms_no_power_when_every_chain_is_shorter(monkeypatch):
+    # Rows 1 and 2 both step to 0, and row 3 steps to both: chains of 2
+    # steps, which cancel in pairs, so M^2 = 0 although a chain has 2 steps.
+    m = Gf2Matrix(4, 4, [0, 0b1, 0b1, 0b110])
+    assert oracle.is_zero(oracle.power(m.to_rows(), 2))
+    powers = []
+    real = Gf2Matrix.pow
+    monkeypatch.setattr(Gf2Matrix, "pow", lambda a, k: powers.append(k) or real(a, k))
+    assert m._power_is_zero(3) and m._power_is_zero(9) and powers == []
+    assert m._power_is_zero(2) and powers == [2]  # a chain of 2 steps: the power decides
+    assert not m._power_is_zero(1) and powers == [2, 1]
+    assert Gf2Matrix(2, 2, [0b10, 0])._power_is_zero(5)  # not lower: the power decides
+    assert powers == [2, 1, 5]
+
+
+def random_unit_lower(rng, n, per_row):
+    """An n x n unit lower triangular matrix with up to per_row bits left of each diagonal."""
+    words = []
+    for i in range(n):
+        w = 1 << i
+        for _ in range(per_row if i else 0):
+            w |= 1 << rng.randrange(i)
+        words.append(w)
+    return Gf2Matrix(n, n, words)
+
+
+def bits_of(row):
+    return sum(x << j for j, x in enumerate(row))
+
+
+def pinned_homotopy(lower, offset, below, after):
+    """h = [0 L^-1 0; 0 0 0], pinned as the block elimination pins it.
+
+    L^-1 fills the top rows in the columns from offset, with after more
+    columns to its right and below zero rows under it.
+    """
+    a = lower.rows
+    top = [bits_of(row) << offset for row in oracle.unit_lower_inverse(lower.to_rows())]
+    h = Gf2Matrix(a + below, offset + a + after, top + [0] * below)
+    object.__setattr__(h, "_pin", gf2._Pin(lower, offset=offset))
+    return h
+
+
+def pinned_lift(lower, rhs, zeros):
+    """g = [L^-1 T; 0; I] with zeros zero rows, pinned as the block elimination pins it."""
+    c = rhs.cols
+    lift = oracle.mat_mul(oracle.unit_lower_inverse(lower.to_rows()), rhs.to_rows(), c)
+    g = Gf2Matrix.from_rows(lift + oracle.zeros(zeros, c) + oracle.identity(c), cols=c)
+    object.__setattr__(g, "_pin", gf2._Pin(lower, rhs))
+    return g
+
+
+def nnz(m):
+    return sum(map(int.bit_count, m.bits))
+
+
+WIDTHS = st.one_of(st.just(0), st.integers(1, gf2._NARROW), st.integers(gf2._NARROW + 1, 100))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 40),
+    per_row=st.integers(0, 2),
+    offset=st.integers(0, 3),
+    below=st.integers(0, 3),
+    after=st.integers(0, 3),
+    width=WIDTHS,
+)
+@example(seed=1, n=300, per_row=2, offset=2, below=3, after=1, width=100)
+@example(seed=2, n=300, per_row=1, offset=0, below=0, after=0, width=7)
+@example(seed=3, n=300, per_row=2, offset=1, below=2, after=2, width=0)  # n x 0 right factor
+@example(seed=4, n=0, per_row=0, offset=2, below=0, after=3, width=4)  # 0 x n homotopy
+def test_pinned_homotopy_products_match_the_textbook_product(
+    seed, n, per_row, offset, below, after, width
+):
+    rng = random.Random(seed)
+    lower = random_unit_lower(rng, n, per_row)
+    h = pinned_homotopy(lower, offset, below, after)
+    b = random_matrix(rng, h.cols, width)
+    assume(not h.is_identity() and not b.is_identity())
+    got = h.mul(b)
+    assert (got.rows, got.cols) == (h.rows, width)
+    assert got.to_rows() == oracle.mat_mul(h.to_rows(), b.to_rows(), width)
+    # The pin is checked once and kept exactly when U has more set bits than L.
+    solved = h._pin is not None and h._pin.checked
+    assert solved == (nnz(h) > nnz(lower))
+    assert h.mul(b) == got
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 40),
+    per_row=st.integers(0, 2),
+    c=st.integers(0, 40),
+    t_density=st.sampled_from([0.05, 0.3]),
+    zeros=st.integers(0, 3),
+    width=WIDTHS,
+)
+@example(seed=1, n=300, per_row=2, c=40, t_density=0.05, zeros=2, width=100)
+@example(seed=2, n=300, per_row=1, c=30, t_density=0.3, zeros=0, width=9)
+@example(seed=3, n=300, per_row=2, c=20, t_density=0.05, zeros=1, width=0)  # n x 0 right factor
+@example(seed=4, n=12, per_row=2, c=0, t_density=0.3, zeros=1, width=5)  # 0 x n right factor
+def test_pinned_lift_products_match_the_textbook_product(
+    seed, n, per_row, c, t_density, zeros, width
+):
+    rng = random.Random(seed)
+    lower = random_unit_lower(rng, n, per_row)
+    rhs = random_matrix(rng, n, c, t_density)
+    g = pinned_lift(lower, rhs, zeros)
+    x = random_matrix(rng, c, width)
+    assume(not g.is_identity() and not x.is_identity())
+    got = g.mul(x)
+    assert (got.rows, got.cols) == (g.rows, width)
+    assert got.to_rows() == oracle.mat_mul(g.to_rows(), x.to_rows(), width)
+    # Kept exactly when the lift has more set bits than L and T together.
+    solved = g._pin is not None and g._pin.checked
+    assert solved == (nnz(g) - c > nnz(lower) + nnz(rhs))
+    assert g.mul(x) == got
+
+
+def test_a_pin_that_does_not_hold_is_dropped_for_the_row_loop():
+    rng = random.Random(5)
+    lower = random_unit_lower(rng, 60, 2)
+    rhs = random_matrix(rng, 60, 20, 0.3)
+    b = random_matrix(rng, 60, 30)
+    x = random_matrix(rng, 20, 30)
+    cases = []
+    h = pinned_homotopy(lower, 0, 1, 0)
+    cases.append((h, 59, 3))  # one bit of U flipped
+    cases.append((h, 60, 0))  # a bit set in the zero rows
+    g = pinned_lift(lower, rhs, 1)
+    cases.append((g, 0, 7))  # one bit of the lift flipped
+    cases.append((g, 60, 2))  # a bit set in the zero rows
+    cases.append((g, 61, 1))  # the identity block broken
+    for m, i, j in cases:
+        bits = list(m.bits)
+        bits[i] ^= 1 << j
+        bad = Gf2Matrix(m.rows, m.cols, bits)
+        object.__setattr__(bad, "_pin", gf2._Pin(m._pin.lower, m._pin.rhs, m._pin.offset))
+        right = b if m is h else x
+        assert m._pin.holds(m) and not bad._pin.holds(bad)
+        got = bad.mul(right)
+        assert bad._pin is None
+        assert got.to_rows() == oracle.mat_mul(bad.to_rows(), right.to_rows(), right.cols)
 
 
 def test_permute_relocates_entries():

@@ -19,7 +19,6 @@ from morsereduce.perturbation import (
     bpl,
     decompose,
     hexagonal_general,
-    nilpotency_bound,
     vf_reduction_via_bpl,
 )
 from morsereduce.reduction import SplitComplex, hexagonal_reduce, reorder
@@ -131,20 +130,6 @@ def test_hexagonal_general_needs_matching_pivot_inverses():
     pivot = dec.transformed.blocks(1)[1][0]
     with pytest.raises(NotInvertible):
         hexagonal_general(dec.transformed, {1: Gf2Matrix.zeros(pivot.cols, pivot.rows)})
-
-
-def test_nilpotency_bound_for_zero_delta_is_one():
-    _, (_, triple) = reduction_of(image_complex(4, 4, 0.9, 3))
-    p = Perturbation(triple.big, {})
-    h = {k: triple.h(k) for k in range(triple.big.lo, triple.big.hi)}
-    assert nilpotency_bound(p, h) == 1
-
-
-def test_nilpotency_bound_detects_non_nilpotent_composites():
-    one = Gf2Matrix.identity(1)
-    base = FGChainComplex(0, 1, {0: 1, 1: 1}, {1: Gf2Matrix.zeros(1, 1)})
-    p = Perturbation(base, {1: one})
-    assert nilpotency_bound(p, {0: one}) is None
 
 
 def test_bpl_with_zero_perturbation_reproduces_the_reduction():

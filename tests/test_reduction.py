@@ -5,7 +5,7 @@ import random
 import pytest
 
 from morsereduce import gf2, perturbation
-from morsereduce.complexes import TruncatedComplex, betti, verify_reduction
+from morsereduce.complexes import ReductionTriple, TruncatedComplex, betti, verify_reduction
 from morsereduce.cubical import boundary_matrices, build_cubical
 from morsereduce.gf2 import Gf2Matrix
 from morsereduce.image import random_image
@@ -163,24 +163,24 @@ def spy_products(monkeypatch):
     """Log (left, right, formed) for every Gf2Matrix.mul call.
 
     formed says whether the call ran the row loop or the inner-product
-    loop, rather than answering from the left factor's record or an
-    identity factor.
+    loop over the left factor's own rows, rather than answering from its
+    record, an identity factor or its pin's forward substitution.
     """
     log, loops = [], []
     mul, rows, columns = Gf2Matrix.mul, gf2._mul_rows, gf2._mul_columns
 
     def counting_rows(words, obits):
-        loops.append(None)
+        loops.append(words)
         return rows(words, obits)
 
     def counting_columns(words, cols):
-        loops.append(None)
+        loops.append(words)
         return columns(words, cols)
 
     def logging_mul(a, b):
         before = len(loops)
         out = mul(a, b)
-        log.append((a, b, len(loops) > before))
+        log.append((a, b, any(words is a.bits for words in loops[before:])))
         return out
 
     monkeypatch.setattr(gf2, "_mul_rows", counting_rows)
@@ -266,3 +266,70 @@ def test_direct_lift_is_the_inverse_times_t(width, height, density, seed):
     lift, rest = triple.g(1).split_rows(rc.nv)
     assert rc.nv > 0 and lift == rc.L.inv_unit_lower_triangular().mul(rc.T)
     assert rest == Gf2Matrix.identity(rest.rows)
+
+
+def test_certified_products_with_h0_or_g1_on_the_left_run_no_row_loop(monkeypatch):
+    # h(0) = [L^-1; 0] and g(1) = [L^-1 T; I] are pinned to L (and T):
+    # once mul has checked each pin on its bits, products with them on
+    # the left are forward substitutions through L.
+    log = spy_products(monkeypatch)
+    res = reduce_pipeline(random_image(24, 24, 0.6, 5))
+    monkeypatch.undo()
+    assert res.ok and res.nv > 0
+    h0, g1, f1 = res.triple.h(0), res.triple.g(1), res.triple.f(1)
+    assert h0._pin.checked and g1._pin.checked
+    assert [f for a, b, f in log if a is h0 and b is res.reordered.reordered.d1] == [False]
+    assert [f for a, b, f in log if a is g1 and b is f1] == [False]
+    assert not any(f for a, _, f in log if a is h0 or a is g1)
+
+
+def flipped(m, i, j):
+    """m with entry (i, j) flipped, carrying a fresh copy of m's pin."""
+    bits = list(m.bits)
+    bits[i] ^= 1 << j
+    out = Gf2Matrix(m.rows, m.cols, bits)
+    object.__setattr__(out, "_pin", gf2._Pin(m._pin.lower, m._pin.rhs, m._pin.offset))
+    return out
+
+
+@pytest.mark.parametrize("which", ["h", "g"])
+def test_a_flipped_bit_fails_its_pin_and_verify_names_the_identity(monkeypatch, which):
+    rc = reorder_of(image_complex(16, 16, 0.6, 5))
+    _, triple = hexagonal_reduce(rc)
+    good = triple.h(0) if which == "h" else triple.g(1)
+    assert good._pin.holds(good)  # the pin pays here, so only the flip can fail it
+    bad = flipped(good, rc.nv - 1, 0)
+    degree = 0 if which == "h" else 1
+    maps = {name: getattr(triple, name) for name in "fgh"}
+    maps[which] = lambda k: bad if k == degree else getattr(triple, which)(k)
+    tampered = ReductionTriple(triple.big, triple.small, maps["f"], maps["g"], maps["h"])
+    log = spy_products(monkeypatch)
+    report = verify_reduction(tampered)
+    monkeypatch.undo()
+    assert bad._pin is None
+    assert any(f for a, _, f in log if a is bad)
+    assert "g_f_plus_dh_plus_hd_identity[1]" in [e.label() for e in report.failures()]
+
+
+def test_certified_image_raises_a_power_only_in_the_nilpotency_check(monkeypatch):
+    # The benchmark's gf2.pow span fires on the pipeline's nilpotency
+    # check, its one independent witness by multiplication; bpl's
+    # pre-check and the series inverse decide nilpotency without a power.
+    powers = []
+    real = Gf2Matrix.pow
+    monkeypatch.setattr(Gf2Matrix, "pow", lambda m, k: powers.append((m, k)) or real(m, k))
+    res = reduce_pipeline(random_image(24, 24, 0.6, 5))
+    monkeypatch.undo()
+    rc = res.reordered
+    assert res.ok and powers == [(rc.L + Gf2Matrix.identity(rc.nv), rc.nv)]
+
+
+def test_fast_image_reads_no_map_of_its_triple(monkeypatch):
+    reads = []
+    real = ReductionTriple._map
+    monkeypatch.setattr(
+        ReductionTriple, "_map", lambda r, name, k: reads.append((name, k)) or real(r, name, k)
+    )
+    res = reduce_pipeline(random_image(24, 24, 0.6, 5), fast=True)
+    monkeypatch.undo()
+    assert res.triple is not None and reads == []
