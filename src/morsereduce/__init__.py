@@ -24,7 +24,6 @@ from .gf2 import (
     Singular,
     format_matrix_text,
     hstack,
-    join4,
     parse_matrix_text,
     vstack,
 )
@@ -101,7 +100,6 @@ __all__ = [
     "hexagonal_general",
     "hexagonal_reduce",
     "hstack",
-    "join4",
     "load_image",
     "parse_matrix_text",
     "parse_pbm",

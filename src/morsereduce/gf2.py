@@ -20,7 +20,6 @@ __all__ = [
     "NotNilpotent",
     "hstack",
     "vstack",
-    "join4",
     "parse_matrix_text",
     "format_matrix_text",
 ]
@@ -39,6 +38,10 @@ class Gf2Matrix:
 
     ``bits[i]`` holds row i with bit ``1 << j`` as the entry in column j;
     bits at or above ``cols`` are required to be zero.
+
+    ``mul`` tries four steps in turn, each on the actual operands: the
+    record, the identity pass-through, the pin, and the one row loop over
+    the left factor's set bits.
 
     ``_record`` is None or ``(right, is_identity)``: the right factor of
     the last product ``mul`` formed with this matrix on the left that
@@ -200,31 +203,26 @@ class Gf2Matrix:
             raise ValueError(
                 f"shape mismatch for product: {self.rows}x{self.cols} times {other.rows}x{other.cols}"
             )
-        # Matrices are immutable, so the same operands always give the same
-        # product: one this factor already formed with an equal right
-        # factor and found to be zero or I is known without the row loop,
-        # and a product by the identity is the other factor itself.
+        # 1. The record. Matrices are immutable, so the same operands always
+        # give the same product: one this factor already formed with an
+        # equal right factor and found to be zero or I is known at once.
         record = self._record
         if record is not None and (record[0] is other or record[0] == other):
             if record[1]:
                 return Gf2Matrix.identity(self.rows)
             return Gf2Matrix.zeros(self.rows, other.cols)
+        # 2. A product by the identity is the other factor itself.
         if self.is_identity():
             return other
         if other.is_identity():
             return self
-        # A pinned factor answers by forward substitution through its L,
-        # once its claim has held on its bits. Otherwise the row loop costs
-        # one step per set bit of this factor; with a narrow right factor,
-        # one inner product per entry of the product can cost less. The
-        # width test comes first, so wide products never count their bits.
+        # 3. A pinned factor answers by forward substitution through its L,
+        # once its claim has held on its bits. 4. Otherwise the row loop
+        # costs one row XOR per set bit of this factor.
         pin = self._pin
         words = None if pin is None else self._pinned_product(pin, other)
         if words is None:
-            if other.cols <= _NARROW and self.rows * other.cols < sum(map(int.bit_count, self.bits)):
-                words = _mul_columns(self.bits, _transpose_words(other.bits, other.cols))
-            else:
-                words = _mul_rows(self.bits, other.bits)
+            words = _mul_rows(self.bits, other.bits)
         product = Gf2Matrix._raw(self.rows, other.cols, words)
         # A square that recorded itself would be freed only by the cycle
         # collector, so a matrix's own square is not recorded.
@@ -234,9 +232,6 @@ class Gf2Matrix:
             elif product.is_identity():
                 object.__setattr__(self, "_record", (other, True))
         return product
-
-    def __matmul__(self, other: Gf2Matrix) -> Gf2Matrix:
-        return self.mul(other)
 
     def _pinned_product(self, pin: _Pin, other: Gf2Matrix) -> tuple[int, ...] | None:
         """The row words of self·other through self's pin, or None for the row loop.
@@ -380,7 +375,7 @@ class Gf2Matrix:
         return tuple(out)
 
     def right_kernel_basis(self) -> Gf2Matrix:
-        """A cols x k matrix whose columns span {v : self @ v = 0}, k = cols - rank.
+        """A cols x k matrix whose columns span {v : self·v = 0}, k = cols - rank.
 
         The basis is the canonical one read off the reduced row-echelon
         form, computed by the pivot-dictionary elimination that rank and
@@ -481,13 +476,6 @@ class Gf2Matrix:
             Gf2Matrix._raw(self.rows, self.cols - j, right),
         )
 
-    def split4(self, i: int, j: int) -> tuple[Gf2Matrix, Gf2Matrix, Gf2Matrix, Gf2Matrix]:
-        """Quadrants (top-left, top-right, bottom-left, bottom-right) at row i, column j."""
-        top, bottom = self.split_rows(i)
-        tl, tr = top.split_cols(j)
-        bl, br = bottom.split_cols(j)
-        return tl, tr, bl, br
-
 
 def _permute_pair(
     left: Gf2Matrix,
@@ -510,10 +498,6 @@ def _permute_pair(
     if record is not None and record[0] is right and not record[1]:
         object.__setattr__(left_p, "_record", (right_p, False))
     return left_p, right_p
-
-
-# The widest right factor for which mul may form entries as inner products.
-_NARROW = 64
 
 
 class _Pin:
@@ -595,25 +579,6 @@ def _row_products(words: Iterable[int], obits: tuple[int, ...]) -> Iterator[int]
             acc ^= obits[j]
             word ^= 1 << j
         yield acc
-
-
-def _mul_columns(words: Iterable[int], columns: Sequence[int]) -> tuple[int, ...]:
-    """The same product from the right factor's column words.
-
-    Entry (i, c) is the parity of the bits that row word i shares with
-    column word c: one AND and one bit count per entry, whatever the fill.
-    """
-    out = []
-    for word in words:
-        acc = 0
-        if word:
-            bit = 1
-            for column in columns:
-                if (word & column).bit_count() & 1:
-                    acc |= bit
-                bit <<= 1
-        out.append(acc)
-    return tuple(out)
 
 
 def _transpose_words(bits: tuple[int, ...], cols: int) -> tuple[int, ...]:
@@ -714,10 +679,6 @@ def vstack(top: Gf2Matrix, bottom: Gf2Matrix) -> Gf2Matrix:
     if top.cols != bottom.cols:
         raise ValueError(f"column mismatch: {top.cols} vs {bottom.cols}")
     return Gf2Matrix._raw(top.rows + bottom.rows, top.cols, top.bits + bottom.bits)
-
-
-def join4(tl: Gf2Matrix, tr: Gf2Matrix, bl: Gf2Matrix, br: Gf2Matrix) -> Gf2Matrix:
-    return vstack(hstack(tl, tr), hstack(bl, br))
 
 
 def parse_matrix_text(text: str) -> Gf2Matrix:

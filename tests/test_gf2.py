@@ -15,7 +15,6 @@ from morsereduce.gf2 import (
     Singular,
     format_matrix_text,
     hstack,
-    join4,
     parse_matrix_text,
     vstack,
 )
@@ -379,8 +378,8 @@ def narrow_products(draw):
 @example((Gf2Matrix.zeros(3, 0), Gf2Matrix.zeros(0, 70)))
 @example((Gf2Matrix(2, 3, [0b111, 0b011]), Gf2Matrix(3, 1, [1, 1, 0])))
 def test_narrow_products_match_the_textbook_and_keep_their_records(operands):
-    # Dense left factors take the inner-product loop, sparse ones the row
-    # loop; both must give the textbook product and the same record.
+    # Narrow right factors, under dense and sparse left factors, take the
+    # one row loop: it must give the textbook product and the same record.
     a, b = operands
     want = oracle.mat_mul(a.to_rows(), b.to_rows(), b.cols)
     got = a.mul(b)
@@ -391,29 +390,6 @@ def test_narrow_products_match_the_textbook_and_keep_their_records(operands):
         assert a._record is None
     else:
         assert a._record[0] is b and a._record[1] is record[1]
-
-
-def test_only_narrow_products_of_well_filled_left_factors_take_the_inner_product_loop(monkeypatch):
-    taken = []
-    columns = gf2._mul_columns
-
-    def spy(words, cols):
-        taken.append(len(cols))
-        return columns(words, cols)
-
-    monkeypatch.setattr(gf2, "_mul_columns", spy)
-    rng = random.Random(9)
-    dense = Gf2Matrix(8, 500, [rng.getrandbits(500) for _ in range(8)])
-    sparse = Gf2Matrix(8, 500, sparse_words(rng, 8, 500))
-    for a, width, inner_products in (
-        (dense, 64, True),  # 8 * 64 entries against about 2000 set bits
-        (dense, 65, False),  # too wide: the bits are never counted
-        (sparse, 64, False),  # at most 32 set bits
-    ):
-        b = Gf2Matrix(500, width, [rng.getrandbits(width) for _ in range(500)])
-        taken.clear()
-        assert a.mul(b).to_rows() == oracle.mat_mul(a.to_rows(), b.to_rows(), width)
-        assert taken == ([width] if inner_products else [])
 
 
 @settings(max_examples=200, deadline=None)
@@ -464,9 +440,8 @@ def test_permute_pair_carries_the_zero_record_that_names_the_right_factor(monkey
     assert d1p == d1.permute(rows, mid) and d2p == d2.permute(mid, cols)
     assert d1p._record[0] is d2p and d1p._record[1] is False
     loops = []
-    for name in ("_mul_rows", "_mul_columns"):
-        loop = getattr(gf2, name)
-        monkeypatch.setattr(gf2, name, lambda w, o, loop=loop: loops.append(None) or loop(w, o))
+    loop = gf2._mul_rows
+    monkeypatch.setattr(gf2, "_mul_rows", lambda w, o: loops.append(None) or loop(w, o))
     assert d1p.mul(d2p).is_zero() and loops == []
     assert d1.permute(rows, mid).mul(d2p).is_zero() and len(loops) == 1
 
@@ -908,7 +883,7 @@ def nnz(m):
     return sum(map(int.bit_count, m.bits))
 
 
-WIDTHS = st.one_of(st.just(0), st.integers(1, gf2._NARROW), st.integers(gf2._NARROW + 1, 100))
+WIDTHS = st.one_of(st.just(0), st.integers(1, 64), st.integers(65, 100))
 
 
 @settings(max_examples=80, deadline=None)
@@ -1027,8 +1002,10 @@ def test_split_and_stack_round_trip():
     m = random_matrix(rng, 7, 9)
     for i in (0, 3, 7):
         for j in (0, 4, 9):
-            tl, tr, bl, br = m.split4(i, j)
-            assert join4(tl, tr, bl, br) == m
+            top, bottom = m.split_rows(i)
+            tl, tr = top.split_cols(j)
+            bl, br = bottom.split_cols(j)
+            assert vstack(hstack(tl, tr), hstack(bl, br)) == m
     top, bottom = m.split_rows(2)
     assert vstack(top, bottom) == m
     left, right = m.split_cols(5)

@@ -10,7 +10,7 @@ from morsereduce.complexes import (
     verify_reduction,
 )
 from morsereduce.cubical import boundary_matrices, build_cubical
-from morsereduce.gf2 import Gf2Matrix, NotNilpotent, hstack, join4, vstack
+from morsereduce.gf2 import Gf2Matrix, NotNilpotent, hstack, vstack
 from morsereduce.image import random_image
 from morsereduce.perturbation import (
     DecompositionFailure,
@@ -218,7 +218,7 @@ def test_direct_reduction_is_the_general_one_on_the_pair_split(width, height, de
     assert triple.f(0) == hstack(rc.S.mul(linv), Gf2Matrix.identity(s0))
     assert triple.g(1) == vstack(linv.mul(rc.T), Gf2Matrix.identity(s1))
     zeros = Gf2Matrix.zeros
-    assert triple.h(0) == join4(linv, zeros(nv, s0), zeros(s1, nv), zeros(s1, s0))
+    assert triple.h(0) == vstack(hstack(linv, zeros(nv, s0)), hstack(zeros(s1, nv), zeros(s1, s0)))
 
 
 @pytest.mark.parametrize(
@@ -247,7 +247,7 @@ def test_vf_route_starts_from_the_trivial_block_reduction(monkeypatch, width, he
     assert trivial.f(1) == hstack(zeros(s1, nv), eye(s1))
     assert trivial.g(0) == vstack(zeros(nv, s0), eye(s0))
     assert trivial.g(1) == vstack(zeros(nv, s1), eye(s1))
-    assert trivial.h(0) == join4(eye(nv), zeros(nv, s0), zeros(s1, nv), zeros(s1, s0))
+    assert trivial.h(0) == vstack(hstack(eye(nv), zeros(nv, s0)), hstack(zeros(s1, nv), zeros(s1, s0)))
 
 
 def test_certified_image_forms_the_boundary_product_only_where_fast_mode_does(monkeypatch):
@@ -305,6 +305,14 @@ def test_route_verifies_itself_when_the_pipeline_check_fails(monkeypatch):
     assert res.checks["reduction_axioms"] is False
     assert res.checks["bpl_match"] is True
     assert len(calls) == 2
+
+
+def test_route_that_fails_its_own_check_is_reported_not_raised(monkeypatch):
+    count_verifications(monkeypatch, failing_in=(pipeline, perturbation))
+    res = pipeline.reduce_pipeline(random_image(16, 16, 0.6, 5))
+    assert res.checks["reduction_axioms"] is False
+    assert res.checks["bpl_match"] is False
+    assert res.failed_checks["bpl_match"] == ["f_g_identity[0]"]
 
 
 def test_public_route_functions_verify_by_default(monkeypatch):

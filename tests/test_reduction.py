@@ -162,20 +162,16 @@ def test_fast_pipeline_forms_no_unread_product(monkeypatch):
 def spy_products(monkeypatch):
     """Log (left, right, formed) for every Gf2Matrix.mul call.
 
-    formed says whether the call ran the row loop or the inner-product
-    loop over the left factor's own rows, rather than answering from its
-    record, an identity factor or its pin's forward substitution.
+    formed says whether the call ran the row loop over the left factor's
+    own rows, rather than answering from its record, an identity factor
+    or its pin's forward substitution.
     """
     log, loops = [], []
-    mul, rows, columns = Gf2Matrix.mul, gf2._mul_rows, gf2._mul_columns
+    mul, rows = Gf2Matrix.mul, gf2._mul_rows
 
     def counting_rows(words, obits):
         loops.append(words)
         return rows(words, obits)
-
-    def counting_columns(words, cols):
-        loops.append(words)
-        return columns(words, cols)
 
     def logging_mul(a, b):
         before = len(loops)
@@ -184,7 +180,6 @@ def spy_products(monkeypatch):
         return out
 
     monkeypatch.setattr(gf2, "_mul_rows", counting_rows)
-    monkeypatch.setattr(gf2, "_mul_columns", counting_columns)
     monkeypatch.setattr(Gf2Matrix, "mul", logging_mul)
     return log
 
