@@ -8,6 +8,7 @@ zero-dimensional matrices compose like any other.
 
 from __future__ import annotations
 
+import reprlib
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import repeat
@@ -23,6 +24,13 @@ __all__ = [
     "parse_matrix_text",
     "format_matrix_text",
 ]
+
+
+# Width in bits from which transpose and permute peel each row word from
+# its lowest set bit (see _transpose_words). Below it a word is at most
+# 2 KB, where an operation on the whole word costs about what a narrow
+# one does, and the plain loop, with no band to find, is the cheaper one.
+_WIDE = 1 << 14
 
 
 class Singular(Exception):
@@ -444,13 +452,18 @@ class Gf2Matrix:
             for i, word in zip(row_perm.image, self.bits):
                 out[i] = word
             return Gf2Matrix._raw(self.rows, self.cols, tuple(out))
-        for i, word in enumerate(self.bits):
+        wide = self.cols >= _WIDE
+        for i, word in zip(row_perm.image, self.bits):
+            lo = 0
+            if wide and word:  # peel only the band above the lowest set bit (see _transpose_words)
+                lo = (word ^ (word - 1)).bit_length() - 1
+                word >>= lo
             acc = 0
             while word:
                 j = word.bit_length() - 1
-                acc |= 1 << cmap[j]
+                acc |= 1 << cmap[lo + j]
                 word ^= 1 << j
-            out[row_perm.image[i]] = acc
+            out[i] = acc
         return Gf2Matrix._raw(self.rows, self.cols, tuple(out))
 
     def split_rows(self, i: int) -> tuple[Gf2Matrix, Gf2Matrix]:
@@ -582,15 +595,42 @@ def _row_products(words: Iterable[int], obits: tuple[int, ...]) -> Iterator[int]
 
 
 def _transpose_words(bits: tuple[int, ...], cols: int) -> tuple[int, ...]:
-    """The column words of a matrix: word j has bit i set where row i has bit j."""
+    """The column words of a matrix: word j has bit i set where row i has bit j.
+
+    A matrix of fewer than _WIDE rows, whose column words are that narrow,
+    takes the plain loop. From _WIDE rows on, each row is first shifted
+    right by its lowest set bit,
+    lo = (w ^ (w - 1)).bit_length() - 1, and the narrow band left is
+    peeled: a sparse row word is about as wide as the matrix even after
+    its top bits are cleared, so this costs two operations on the full
+    width per row, not two per set bit. Each column word is likewise
+    built from its first row on and shifted into place once, so each set
+    bit costs a narrow OR.
+    """
     out = [0] * cols
+    if len(bits) < _WIDE:
+        for i, word in enumerate(bits):
+            flag = 1 << i
+            while word:
+                j = word.bit_length() - 1
+                out[j] |= flag
+                word ^= 1 << j
+        return tuple(out)
+    first = [0] * cols  # the first row with a bit in each column
     for i, word in enumerate(bits):
-        flag = 1 << i
-        while word:
-            j = word.bit_length() - 1
-            out[j] |= flag
-            word ^= 1 << j
-    return tuple(out)
+        if word:
+            lo = (word ^ (word - 1)).bit_length() - 1
+            word >>= lo
+            while word:
+                j = word.bit_length() - 1
+                word ^= 1 << j
+                j += lo
+                if out[j]:
+                    out[j] |= 1 << (i - first[j])
+                else:
+                    out[j] = 1
+                    first[j] = i
+    return tuple(map(int.__lshift__, out, first))
 
 
 def _rref(words: Iterable[int], width: int) -> tuple[dict[int, int], int]:
@@ -646,8 +686,27 @@ class Permutation:
         seen = [False] * n
         for v in self.image:
             if not isinstance(v, int) or not 0 <= v < n or seen[v]:
-                raise ValueError(f"not a permutation of range({n}): {self.image}")
+                self._raise_first_fault()
             seen[v] = True
+
+    def _raise_first_fault(self) -> None:
+        """Raise a ValueError naming the first position that keeps image
+        from being a permutation, its value and why."""
+        n = len(self.image)
+        first: dict[int, int] = {}  # the position that first sent each value
+        for i, v in enumerate(self.image):
+            if not isinstance(v, int):
+                why = "not an int"
+            elif not 0 <= v < n:
+                why = "out of range"
+            elif v in first:
+                why = f"repeated from position {first[v]}"
+            else:
+                first[v] = i
+                continue
+            raise ValueError(
+                f"not a permutation of range({n}): position {i} holds {reprlib.repr(v)}, {why}"
+            )
 
     @property
     def size(self) -> int:

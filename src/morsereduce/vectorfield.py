@@ -9,8 +9,9 @@ edges on any relation path starting at r.
 
 from __future__ import annotations
 
+from collections import defaultdict
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Mapping
 
 from .gf2 import Gf2Matrix
 from .verification import VerificationReport
@@ -37,18 +38,23 @@ class DiscreteVectorField:
         return len(self.pairs)
 
 
-def _longest_path_lengths(succ: dict[int, list[int]], nodes: set[int]) -> dict[int, int]:
+def _longest_path_lengths(
+    succ: Sequence[Sequence[int]] | dict[int, Sequence[int]], nodes: Iterable[int]
+) -> dict[int, int]:
     """Edge-count length of the longest path out of each node.
 
-    Walks depth first, keeping the current path; an edge back onto the
-    path closes a cycle, and a ValueError names it.
+    succ[v] lists v's successors; a dict may leave out a node that has
+    none. Walks depth first, keeping the current path; an edge back onto
+    the path closes a cycle, and a ValueError names it.
     """
+    if isinstance(succ, dict):
+        succ = defaultdict(tuple, succ)
     memo: dict[int, int] = {}
     for start in nodes:
         if start in memo:
             continue
         path = {start: None}  # the nodes of the current path, in order
-        todo = [iter(succ.get(start, ()))]  # their successors left to visit
+        todo = [iter(succ[start])]  # their successors left to visit
         while todo:
             for v in todo[-1]:
                 if v in memo:
@@ -58,14 +64,32 @@ def _longest_path_lengths(succ: dict[int, list[int]], nodes: set[int]) -> dict[i
                     cycle = " -> ".join(map(str, on[on.index(v):] + [v]))
                     raise ValueError(f"relation graph has a cycle: {cycle}")
                 path[v] = None
-                todo.append(iter(succ.get(v, ())))
+                todo.append(iter(succ[v]))
                 break
             else:  # every successor is done
                 u, _ = path.popitem()
                 todo.pop()
-                children = succ.get(u, ())
-                memo[u] = 1 + max(memo[v] for v in children) if children else 0
+                children = succ[u]
+                memo[u] = 1 + max(map(memo.__getitem__, children)) if children else 0
     return memo
+
+
+def _set_bits(word: int) -> list[int]:
+    """The indices of a nonzero word's set bits, in increasing order.
+
+    The word is first shifted right by its lowest set bit, so only the
+    band its bits span is peeled: two operations on the full width of
+    the word, not two per set bit (see gf2._transpose_words).
+    """
+    lo = (word ^ (word - 1)).bit_length() - 1
+    word >>= lo
+    out = []
+    while word:
+        j = word.bit_length() - 1
+        word ^= 1 << j
+        out.append(lo + j)
+    out.reverse()
+    return out
 
 
 def rs_algorithm(m: Gf2Matrix) -> DiscreteVectorField:
@@ -78,54 +102,57 @@ def rs_algorithm(m: Gf2Matrix) -> DiscreteVectorField:
     r' with a 1 in column c, so a candidate closes a cycle exactly when
     one of those rows already reaches r; rejected candidates change
     nothing, which lets one ancestor scan per row answer every candidate.
-    The graph is kept as predecessor lists and the scan yields a set, so
-    the work follows the edges, not the width of the matrix.
+
+    Each row word, and the column word of each tried candidate, is
+    peeled banded (see _set_bits), so no step costs more than two
+    operations on a row-wide integer; a column is peeled at most once,
+    since the rows of a candidate turned down are kept for the next row
+    that tries it. The graph is kept in row-indexed predecessor and
+    successor lists, so the work follows the edges, not the width of the
+    matrix.
     """
-    col_bits = m.transpose().bits
+    col_words = m.transpose().bits
     used_cols = bytearray(m.cols)
-    pred: dict[int, list[int]] = {}  # node -> its direct predecessors
-    succ: dict[int, list[int]] = {}
+    turned_down: list = [None] * m.cols  # the rows of a column some row turned down
+    pred: list = [()] * m.rows  # row -> its direct predecessors
+    succ: list = [()] * m.rows  # row -> its direct successors
     pairs: list[tuple[int, int]] = []
-    edges: set[tuple[int, int]] = set()
     for i, word in enumerate(m.bits):
-        cand = []
-        while word:  # peel from the top, so each step shortens the word
-            c = word.bit_length() - 1
-            word ^= 1 << c
-            if not used_cols[c]:
-                cand.append(c)
-        if not cand:
+        if not word:
             continue
-        # All nodes with a path to i in the current acyclic graph.
-        ancestors: set[int] = set()
-        stack = list(pred.get(i, ()))
-        while stack:
-            u = stack.pop()
-            if u not in ancestors:
-                ancestors.add(u)
-                stack.extend(pred.get(u, ()))
-        for c in reversed(cand):  # increasing column index
-            targets = []
-            col = col_bits[c] ^ (1 << i)
-            while col:
-                t = col.bit_length() - 1
-                col ^= 1 << t
-                targets.append(t)
-            if not ancestors.isdisjoint(targets):
-                continue  # some target already reaches row i: loop
+        ancestors = None
+        for c in _set_bits(word):
+            if used_cols[c]:
+                continue
+            support = turned_down[c] or _set_bits(col_words[c])  # the rows of c, i among them
+            if ancestors is None:
+                # All nodes with a path to i in the current acyclic graph;
+                # i is not among them, so support may hold i itself.
+                ancestors = set()
+                stack = list(pred[i])
+                while stack:
+                    u = stack.pop()
+                    if u not in ancestors:
+                        ancestors.add(u)
+                        stack.extend(pred[u])
+            if ancestors and not ancestors.isdisjoint(support):
+                turned_down[c] = support  # c stays free, and a later row may try it
+                continue  # some other row of c already reaches row i: loop
             pairs.append((i, c))
             used_cols[c] = 1
-            out = succ.setdefault(i, [])
-            for t in reversed(targets):
-                edges.add((i, t))
-                out.append(t)
-                pred.setdefault(t, []).append(i)
+            support.remove(i)
+            succ[i] = support
+            for t in support:
+                if pred[t]:
+                    pred[t].append(i)
+                else:
+                    pred[t] = [i]
             break
-    nodes = {i for i, _ in pairs}
-    nodes.update(n for e in edges for n in e)
-    lengths = _longest_path_lengths(succ, nodes)
-    lambdas = {r: lengths.get(r, 0) for r, _ in pairs}
-    return DiscreteVectorField(tuple(pairs), frozenset(edges), lambdas)
+    lambdas = _longest_path_lengths(succ, (r for r, _ in pairs))
+    # Copied from a set, the frozenset's table is sized to its contents;
+    # grown from the generator itself, it would keep twice the table.
+    relation = frozenset(set((r, t) for r, _ in pairs for t in succ[r]))
+    return DiscreteVectorField(tuple(pairs), relation, {r: lambdas[r] for r, _ in pairs})
 
 
 def check_admissible(m: Gf2Matrix, vf: DiscreteVectorField) -> VerificationReport:

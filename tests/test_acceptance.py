@@ -9,6 +9,8 @@ wall-clock budgets stated inline.
 import random
 import time
 
+import pytest
+
 from morsereduce.complexes import TruncatedComplex, betti, verify_reduction
 from morsereduce.cubical import boundary_matrices, build_cubical
 from morsereduce.gf2 import Gf2Matrix, Singular
@@ -19,6 +21,8 @@ from morsereduce.reduction import hexagonal_reduce, reorder
 from morsereduce.vectorfield import check_admissible, rs_algorithm, sort_by_lambda
 
 from oracle import count_components_uf, count_holes_4, cubical_cells
+
+pytestmark = pytest.mark.acceptance
 
 
 def _report(ok, name, detail):

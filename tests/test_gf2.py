@@ -2,6 +2,7 @@
 
 import gc
 import random
+import unittest.mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -424,6 +425,42 @@ def test_permute_with_fixed_columns_moves_the_row_words_themselves(m, seed):
     got = m.permute(Permutation(tuple(rows)), Permutation.identity(m.cols))
     assert got.to_rows() == oracle.permute(m.to_rows(), rows, list(range(m.cols)))
     assert all(got.bits[i] is word for i, word in zip(rows, m.bits))
+
+
+@st.composite
+def banded_matrices(draw):
+    """r x 3000 matrices whose set bits lie in one window of at most 64
+    columns at offset 2900 or more, each row zero, one bit or dense."""
+    rows = draw(st.integers(0, 24))
+    width = draw(st.integers(1, 64))
+    offset = draw(st.integers(2900, 3000 - width))
+    kinds = draw(st.lists(st.sampled_from("z1d"), min_size=rows, max_size=rows))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    draw_word = {
+        "z": lambda: 0,
+        "1": lambda: 1 << rng.randrange(width),
+        "d": lambda: rng.getrandbits(width) | 1 << (width - 1),
+    }
+    return Gf2Matrix(rows, 3000, [draw_word[k]() << offset for k in kinds])
+
+
+@pytest.mark.parametrize("wide", [gf2._WIDE, 0], ids=["plain", "banded"])
+@settings(max_examples=100, deadline=None)
+@given(banded_matrices(), st.integers(0, 2**32 - 1))
+@example(Gf2Matrix(4, 3000, [0, 1 << 2999, (2**64 - 1) << 2936, 1 << 2900]), 0)
+@example(Gf2Matrix(3, 3000, [1 << 2950, 0, 1 << 2950]), 1)
+def test_banded_rows_permute_and_transpose_as_the_textbook(wide, m, seed):
+    rng = random.Random(seed)
+    with unittest.mock.patch.object(gf2, "_WIDE", wide):  # 0: every matrix takes the band
+        t = m.transpose()
+        assert t.to_rows() == oracle.transpose(m.to_rows(), m.cols)
+        assert t.transpose() == m  # a tall matrix whose columns start at row 2900 or later
+        for a in (m, t):
+            rows, cols = list(range(a.rows)), list(range(a.cols))
+            rng.shuffle(rows)
+            rng.shuffle(cols)
+            got = a.permute(Permutation(tuple(rows)), Permutation(tuple(cols)))
+            assert got.to_rows() == oracle.permute(a.to_rows(), rows, cols)
 
 
 def boundary_pair():
@@ -995,6 +1032,22 @@ def test_permutation_validation_and_inverse():
     assert p.inverse().image == (1, 2, 0)
     assert p.inverse().inverse() == p
     assert Permutation.identity(3)(1) == 1
+
+
+@pytest.mark.parametrize(
+    "image, message",
+    [
+        ((0,) + tuple(range(5000)), r"position 1 holds 0, repeated from position 0$"),
+        (tuple(range(5000)) + (5001,), r"range\(5001\): position 5000 holds 5001, out of range$"),
+        ((-1,) + tuple(range(1, 5001)), r"position 0 holds -1, out of range$"),
+        ((2**4000,) + tuple(range(1, 5001)), r"position 0 holds \d+\.\.\.\d+, out of range$"),
+        (tuple(range(4999)) + ("x" * 10**4,), r"position 4999 holds 'x+\.\.\.x+', not an int$"),
+    ],
+)
+def test_permutation_error_names_the_first_bad_position(image, message):
+    with pytest.raises(ValueError, match=message) as err:
+        Permutation(image)
+    assert len(str(err.value)) < 200
 
 
 def test_split_and_stack_round_trip():

@@ -155,6 +155,7 @@ def test_rs_algorithm_is_the_reference_greedy_on_random_matrices(rows, cols, den
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 24), st.integers(0, 24), st.floats(0.1, 0.9), st.integers(0, 2**32 - 1))
 @example(24, 24, 0.6, 7)
+@example(48, 48, 0.35, 61 << 20)  # sparse, like the cli-sparse-192 benchmark images
 def test_rs_algorithm_is_the_reference_greedy_on_image_boundaries(width, height, density, seed):
     img = random_image(width, height, density, seed)
     assert_matches_reference_greedy(boundary_matrices(build_cubical(img)).d1)
