@@ -26,10 +26,10 @@ __all__ = [
 ]
 
 
-# Width in bits from which transpose and permute peel each row word from
-# its lowest set bit (see _transpose_words). Below it a word is at most
-# 2 KB, where an operation on the whole word costs about what a narrow
-# one does, and the plain loop, with no band to find, is the cheaper one.
+# Row count from which transpose peels each row word from its lowest set
+# bit (see _transpose_words). Below it a column word is at most 2 KB,
+# where an operation on the whole word costs about what a narrow one
+# does, and the plain loop, with no band to find, is the cheaper one.
 _WIDE = 1 << 14
 
 
@@ -452,10 +452,12 @@ class Gf2Matrix:
             for i, word in zip(row_perm.image, self.bits):
                 out[i] = word
             return Gf2Matrix._raw(self.rows, self.cols, tuple(out))
-        wide = self.cols >= _WIDE
+        # Each row is peeled banded, as in _set_bits, inlined: with a call
+        # per row, permuting a 192x192 image's D1 measured 8% slower (207
+        # against 192 ms).
         for i, word in zip(row_perm.image, self.bits):
             lo = 0
-            if wide and word:  # peel only the band above the lowest set bit (see _transpose_words)
+            if word:
                 lo = (word ^ (word - 1)).bit_length() - 1
                 word >>= lo
             acc = 0
@@ -594,18 +596,36 @@ def _row_products(words: Iterable[int], obits: tuple[int, ...]) -> Iterator[int]
         yield acc
 
 
+def _set_bits(word: int) -> list[int]:
+    """The indices of a nonzero word's set bits, in increasing order.
+
+    The word is first shifted right by its lowest set bit,
+    lo = (w ^ (w - 1)).bit_length() - 1, and only the narrow band left is
+    peeled: a sparse word is about as wide as its top bit even after its
+    other bits are cleared, so peeling it whole costs two operations on
+    that width per set bit, and this costs two in all.
+    """
+    lo = (word ^ (word - 1)).bit_length() - 1
+    word >>= lo
+    out = []
+    while word:
+        j = word.bit_length() - 1
+        word ^= 1 << j
+        out.append(lo + j)
+    out.reverse()
+    return out
+
+
 def _transpose_words(bits: tuple[int, ...], cols: int) -> tuple[int, ...]:
     """The column words of a matrix: word j has bit i set where row i has bit j.
 
     A matrix of fewer than _WIDE rows, whose column words are that narrow,
-    takes the plain loop. From _WIDE rows on, each row is first shifted
-    right by its lowest set bit,
-    lo = (w ^ (w - 1)).bit_length() - 1, and the narrow band left is
-    peeled: a sparse row word is about as wide as the matrix even after
-    its top bits are cleared, so this costs two operations on the full
-    width per row, not two per set bit. Each column word is likewise
-    built from its first row on and shifted into place once, so each set
-    bit costs a narrow OR.
+    takes the plain loop. From _WIDE rows on, each row is peeled banded,
+    as in _set_bits, and each column word is built from its first row on
+    and shifted into place once, so each set bit costs a narrow OR. On the
+    matrices a certified run on a 32x32 image transposes, the banded loop
+    measured 37% slower than the plain one (3.9 against 2.8 ms an image);
+    on a 192x192 image's D1 it is 22% faster (149 against 191 ms).
     """
     out = [0] * cols
     if len(bits) < _WIDE:
@@ -618,7 +638,7 @@ def _transpose_words(bits: tuple[int, ...], cols: int) -> tuple[int, ...]:
         return tuple(out)
     first = [0] * cols  # the first row with a bit in each column
     for i, word in enumerate(bits):
-        if word:
+        if word:  # _set_bits inlined: a call per row measured 8% slower here
             lo = (word ^ (word - 1)).bit_length() - 1
             word >>= lo
             while word:

@@ -451,7 +451,8 @@ def banded_matrices(draw):
 @example(Gf2Matrix(3, 3000, [1 << 2950, 0, 1 << 2950]), 1)
 def test_banded_rows_permute_and_transpose_as_the_textbook(wide, m, seed):
     rng = random.Random(seed)
-    with unittest.mock.patch.object(gf2, "_WIDE", wide):  # 0: every matrix takes the band
+    # With _WIDE at 0, transpose takes its band on every matrix; permute always does.
+    with unittest.mock.patch.object(gf2, "_WIDE", wide):
         t = m.transpose()
         assert t.to_rows() == oracle.transpose(m.to_rows(), m.cols)
         assert t.transpose() == m  # a tall matrix whose columns start at row 2900 or later

@@ -67,6 +67,8 @@ def test_chain_example_traced_by_hand():
 def test_sort_breaks_lambda_ties_by_row():
     vf = rs_algorithm(Gf2Matrix.identity(4))
     assert sort_by_lambda(vf).pairs == vf.pairs
+    shuffled = DiscreteVectorField(((3, 0), (1, 1), (2, 2), (0, 3)), frozenset(), {3: 0, 1: 1, 2: 0, 0: 1})
+    assert sort_by_lambda(shuffled).pairs == ((0, 3), (1, 1), (2, 2), (3, 0))
 
 
 def test_rs_output_is_always_admissible():
