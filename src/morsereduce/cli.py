@@ -62,6 +62,17 @@ def _map_jobs(fn: Callable, jobs: list) -> list:
     return [fn(job) for job in jobs]
 
 
+def _count(text: str) -> int:
+    """An argparse type for --random and --trials: an int, 0 or more."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer, 0 or more, got {text!r}")
+    return n
+
+
 def _cmd_homology(args: argparse.Namespace) -> int:
     img = load_image(args.image, args.threshold)
     if args.no_reduce:
@@ -92,7 +103,7 @@ def _cmd_dvf(args: argparse.Namespace) -> int:
         m = parse_matrix_text(fh.read())
     vf = rs_algorithm(m)
     report = check_admissible(m, vf)
-    sys.stdout.write(format_dvf(vf))
+    sys.stdout.write(format_dvf(vf, m))
     if not report.ok:
         print(f"admissibility check failed: {report}", file=sys.stderr)
         return 1
@@ -192,7 +203,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run the full invariant battery")
     p_ver.add_argument("image", nargs="?", default=None, help="image file to verify")
     p_ver.add_argument("--threshold", type=int, default=128)
-    p_ver.add_argument("--random", type=int, default=0, metavar="N",
+    p_ver.add_argument("--random", type=_count, default=0, metavar="N",
                        help="verify N seeded random images instead of a file")
     p_ver.add_argument("--size", type=int, nargs=2, default=(16, 16),
                        metavar=("W", "H"))
@@ -204,7 +215,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--size", type=int, nargs=2, default=(32, 32),
                          metavar=("W", "H"))
     p_bench.add_argument("--density", type=float, default=0.5)
-    p_bench.add_argument("--trials", type=int, default=1)
+    p_bench.add_argument("--trials", type=_count, default=1)
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--fast", action="store_true",
                          help="benchmark without the re-verification stages")

@@ -241,15 +241,15 @@ def count_components(img: BinaryImage) -> int:
         if ra != rb:
             parent[ra] = rb
 
-    pixels = img.foreground()
-    fg = {r * width + c for r, c in pixels}
-    for r, c in pixels:
+    for r, c in img.foreground():
         idx = r * width + c
         parent[idx] = idx
-        # Earlier-scanned neighbors cover every adjacent pair once.
+        # Earlier-scanned neighbors cover every adjacent pair once. They
+        # come before idx in row-major order, so one is in parent exactly
+        # when it is foreground.
         for dr, dc in ((-1, -1), (-1, 0), (-1, 1), (0, -1)):
             nidx = (r + dr) * width + (c + dc)
-            if 0 <= r + dr and 0 <= c + dc < width and nidx in fg and nidx in parent:
+            if 0 <= r + dr and 0 <= c + dc < width and nidx in parent:
                 union(idx, nidx)
     return sum(1 for x in parent if parent[x] == x)
 

@@ -70,11 +70,11 @@ class ReorderedComplex:
     """A truncated complex with paired cells moved to the leading positions.
 
     Pair p of the sorted field becomes row p and column p of the reordered
-    D1, so the nv x nv upper-left block L is unit lower triangular. T, S, R
-    are the other D1 quadrants; d2_top/d2_bot split the reordered D2 rows
-    at nv.  row_perm and col_perm send original indices to new positions.
-    split has the paired edges as A in degree 1, the paired vertices as B
-    in degree 0 and the critical cells as C; the blocks above are its own.
+    D1, so the nv x nv upper-left block L is unit lower triangular.
+    row_perm and col_perm send original indices to new positions. split
+    has the paired edges as A in degree 1, the paired vertices as B in
+    degree 0 and the critical cells as C; L is its block d21 in degree 1,
+    and its other blocks are read from split.blocks(k).
     """
 
     original: TruncatedComplex
@@ -84,28 +84,22 @@ class ReorderedComplex:
     col_perm: Permutation
     split: SplitComplex
     L: Gf2Matrix
-    T: Gf2Matrix
-    S: Gf2Matrix
-    R: Gf2Matrix
-    d2_top: Gf2Matrix
-    d2_bot: Gf2Matrix
 
 
 def _front_permutation(total: int, leading: list[int], what: str) -> Permutation:
-    """Send leading[p] to position p and pack the rest behind, order preserved."""
-    image: list[int] = [-1] * total
-    for p, idx in enumerate(leading):
-        if not 0 <= idx < total:
-            raise ValueError(f"{what} index {idx} out of range")
-        if image[idx] != -1:
-            raise ValueError(f"duplicate {what} index {idx}")
-        image[idx] = p
-    nxt = len(leading)
-    for idx in range(total):
-        if image[idx] == -1:
-            image[idx] = nxt
-            nxt += 1
-    return Permutation(tuple(image))
+    """Send leading[p] to position p and pack the rest behind, order preserved.
+
+    The packed order has exactly total entries only if the leading
+    indices are distinct and in range, so one count checks them all.
+    """
+    chosen = set(leading)
+    order = leading + [i for i in range(total) if i not in chosen]
+    if len(order) != total:
+        raise ValueError(f"{what} indices of the pairs are not distinct in range({total})")
+    image = [0] * total
+    for p, i in enumerate(order):
+        image[i] = p
+    return Permutation._raw(tuple(image))
 
 
 def reorder(t: TruncatedComplex, vf: DiscreteVectorField) -> ReorderedComplex:
@@ -124,15 +118,14 @@ def reorder(t: TruncatedComplex, vf: DiscreteVectorField) -> ReorderedComplex:
     col_perm = _front_permutation(t.c1, [c for _, c in vf.pairs], "column")
     # D2's columns stay put, so its rows move whole; D1 . D2 = 0, once
     # checked on t, is carried to the permuted pair without a product.
-    d1r, d2r = _permute_pair(t.d1, t.d2, row_perm, col_perm, Permutation.identity(t.c2))
+    d1r, d2r = _permute_pair(t.d1, t.d2, row_perm, col_perm)
     splits = {0: (0, nv, t.c0 - nv), 1: (nv, 0, t.c1 - nv), 2: (0, 0, t.c2)}
     split = SplitComplex(TruncatedComplex(d1r, d2r), splits)
-    _, (block_l, _, block_t), (block_s, _, block_r) = split.blocks(1)
+    block_l = split.blocks(1)[1][0]
     if not block_l.is_lower_unitriangular():
         raise TriangularityViolation(
             "paired block is not unit lower triangular; field unsorted or inadmissible"
         )
-    (_, _, d2_top), _, (_, _, d2_bot) = split.blocks(2)
     return ReorderedComplex(
         original=t,
         reordered=split.cx,
@@ -141,11 +134,6 @@ def reorder(t: TruncatedComplex, vf: DiscreteVectorField) -> ReorderedComplex:
         col_perm=col_perm,
         split=split,
         L=block_l,
-        T=block_t,
-        S=block_s,
-        R=block_r,
-        d2_top=d2_top,
-        d2_bot=d2_bot,
     )
 
 

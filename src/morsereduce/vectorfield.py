@@ -9,7 +9,6 @@ edges on any relation path starting at r.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -28,10 +27,13 @@ __all__ = [
 
 @dataclass(frozen=True, eq=True)
 class DiscreteVectorField:
-    """Pairs with their relation graph and longest-path labels for paired rows."""
+    """Pairs with the longest-path labels of their rows.
+
+    The relation edges are not stored: they follow from the pairs and the
+    matrix, and _relation_edges reads them off it.
+    """
 
     pairs: tuple[tuple[int, int], ...]
-    relation: frozenset[tuple[int, int]]
     lambdas: Mapping[int, int] = field(compare=True)
 
     @property
@@ -39,22 +41,20 @@ class DiscreteVectorField:
         return len(self.pairs)
 
 
-def _longest_path_lengths(
-    succ: Sequence[Sequence[int]] | dict[int, Sequence[int]], nodes: Iterable[int]
-) -> dict[int, int]:
+def _relation_edges(m: Gf2Matrix, pairs: Iterable[tuple[int, int]]) -> set[tuple[int, int]]:
+    """The edges r -> t that pairs in range of m induce: t is another row
+    with a 1 in r's paired column."""
+    col_words = m.transpose().bits
+    return {(r, t) for r, c in pairs for t in _set_bits(col_words[c]) if t != r}
+
+
+def _longest_path_lengths(succ: Sequence[Sequence[int]], nodes: Iterable[int]) -> dict[int, int]:
     """Edge-count length of the longest path out of each node.
 
-    succ[v] lists v's successors. Walks depth first, keeping the current
-    path; an edge back onto the path closes a cycle, and a ValueError
-    names it.
-
-    rs_algorithm passes row-indexed lists. The dict form, which may leave
-    out a node that has no successors, serves only the hand-written
-    graphs of test_longest_paths_refuse_a_cycle; once they are given as
-    lists, the isinstance branch can go.
+    succ[v] lists v's successors, for every row v. Walks depth first,
+    keeping the current path; an edge back onto the path closes a cycle,
+    and a ValueError names it.
     """
-    if isinstance(succ, dict):
-        succ = defaultdict(tuple, succ)
     memo: dict[int, int] = {}
     for start in nodes:
         if start in memo:
@@ -137,20 +137,17 @@ def rs_algorithm(m: Gf2Matrix) -> DiscreteVectorField:
                     pred[t] = [i]
             break
     lambdas = _longest_path_lengths(succ, (r for r, _ in pairs))
-    # Copied from a set, the frozenset's table is sized to its contents;
-    # grown from the generator itself, it would keep twice the table.
-    relation = frozenset(set((r, t) for r, _ in pairs for t in succ[r]))
-    return DiscreteVectorField(tuple(pairs), relation, {r: lambdas[r] for r, _ in pairs})
+    return DiscreteVectorField(tuple(pairs), {r: lambdas[r] for r, _ in pairs})
 
 
 def check_admissible(m: Gf2Matrix, vf: DiscreteVectorField) -> VerificationReport:
     """Re-derive every vector field property from scratch against the matrix.
 
     Checks: pairs hit 1-entries in range, no row or column reused, the
-    relation equals the edge set induced by the pairs, the relation graph
-    is acyclic (topological sort, an independent witness from the
-    construction's reachability test), and the lambda labels match
-    longest-path lengths recomputed by DP over the topological order.
+    relation graph the pairs induce on m is acyclic (topological sort, an
+    independent witness from the construction's reachability test), and
+    the lambda labels match longest-path lengths recomputed by DP over the
+    topological order.
     """
     report = VerificationReport()
     in_range = all(0 <= r < m.rows and 0 <= c < m.cols for r, c in vf.pairs)
@@ -158,22 +155,13 @@ def check_admissible(m: Gf2Matrix, vf: DiscreteVectorField) -> VerificationRepor
     report.add("pair_entries_one", in_range and all(m.get(r, c) == 1 for r, c in vf.pairs))
     report.add("rows_distinct", len({r for r, _ in vf.pairs}) == len(vf.pairs))
     report.add("cols_distinct", len({c for _, c in vf.pairs}) == len(vf.pairs))
-    expected_edges = set()
-    if in_range:
-        col_bits = m.transpose().bits
-        for r, c in vf.pairs:
-            others = col_bits[c] & ~(1 << r)
-            while others:
-                t = others.bit_length() - 1
-                expected_edges.add((r, t))
-                others ^= 1 << t
-    report.add("relation_matches_pairs", set(vf.relation) == expected_edges)
+    edges = _relation_edges(m, vf.pairs) if in_range else set()
 
     # Kahn's algorithm: the graph is acyclic iff every node gets scheduled.
-    nodes = {n for e in vf.relation for n in e}
+    nodes = {n for e in edges for n in e}
     indeg = {n: 0 for n in nodes}
     succ: dict[int, list[int]] = {n: [] for n in nodes}
-    for a, b in vf.relation:
+    for a, b in edges:
         succ[a].append(b)
         indeg[b] += 1
     queue = [n for n in nodes if indeg[n] == 0]
@@ -207,15 +195,16 @@ def sort_by_lambda(vf: DiscreteVectorField) -> DiscreteVectorField:
     lambdas = vf.lambdas
     by_row = sorted(vf.pairs, key=itemgetter(0))
     ordered = tuple(sorted(by_row, key=lambda p: lambdas[p[0]], reverse=True))
-    return DiscreteVectorField(ordered, vf.relation, dict(lambdas))
+    return DiscreteVectorField(ordered, dict(lambdas))
 
 
-def format_dvf(vf: DiscreteVectorField) -> str:
-    """Textual dump: one "r c lambda" line per pair in the sorted pairing
-    order, then one "r -> r'" line per relation edge in (r, r') order."""
+def format_dvf(vf: DiscreteVectorField, m: Gf2Matrix) -> str:
+    """Textual dump of a field on m: one "r c lambda" line per pair in the
+    sorted pairing order, then one "r -> r'" line per relation edge in
+    (r, r') order."""
     lines = [
         f"{r} {c} {vf.lambdas[r]}"
         for r, c in sort_by_lambda(vf).pairs
     ]
-    lines.extend(f"{a} -> {b}" for a, b in sorted(vf.relation))
+    lines.extend(f"{a} -> {b}" for a, b in sorted(_relation_edges(m, vf.pairs)))
     return "\n".join(lines) + ("\n" if lines else "")

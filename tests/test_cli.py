@@ -302,6 +302,14 @@ def test_verify_rejects_ambiguous_input(tmp_path, capsys):
     assert code == 2 and "error:" in err
 
 
+@pytest.mark.parametrize("count", ["-3", "x"])
+def test_verify_refuses_a_count_that_is_not_zero_or_more(capsys, count):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--random", count])
+    assert exc.value.code == 2
+    assert f"argument --random: must be an integer, 0 or more, got '{count}'" in capsys.readouterr().err
+
+
 def test_verify_reports_failures_with_exit_one(tmp_path, capsys, monkeypatch):
     path = write(tmp_path, "ring.pbm", RING_PBM)
     broken = {name: True for name in BATTERY}
@@ -343,6 +351,16 @@ def test_bench_with_zero_trials_prints_only_the_header(capsys):
     code, out, _ = run(capsys, ["bench", "--trials", "0"])
     assert code == 0
     assert len(out.splitlines()) == 1
+
+
+@pytest.mark.parametrize("count", ["-2", "x"])
+def test_bench_refuses_a_count_that_is_not_zero_or_more(capsys, count):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bench", "--trials", count])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # not even the header
+    assert f"argument --trials: must be an integer, 0 or more, got '{count}'" in captured.err
 
 
 def test_entry_point_exits_with_main_status(tmp_path, monkeypatch, capsys):

@@ -419,12 +419,16 @@ def test_permute_matches_the_textbook_on_wide_sparse_rows(m, seed):
 @example(Gf2Matrix.zeros(0, 7), 0)
 @example(Gf2Matrix.zeros(7, 0), 0)
 def test_permute_with_fixed_columns_moves_the_row_words_themselves(m, seed):
+    # _permute_pair keeps its right factor's columns in place, so each of
+    # that factor's row words moves whole.
     rng = random.Random(seed)
     rows = list(range(m.rows))
     rng.shuffle(rows)
-    got = m.permute(Permutation(tuple(rows)), Permutation.identity(m.cols))
+    perm = Permutation(tuple(rows))
+    _, got = gf2._permute_pair(Gf2Matrix.zeros(0, m.rows), m, Permutation.identity(0), perm)
     assert got.to_rows() == oracle.permute(m.to_rows(), rows, list(range(m.cols)))
     assert all(got.bits[i] is word for i, word in zip(rows, m.bits))
+    assert m.permute(perm, Permutation.identity(m.cols)) == got
 
 
 @st.composite
@@ -468,14 +472,14 @@ def boundary_pair():
     """A 2x3 d1 and a 3x1 d2 with d1 d2 = 0, and permutations to move them."""
     d1 = Gf2Matrix(2, 3, [0b011, 0b110])
     d2 = Gf2Matrix(3, 1, [1, 1, 1])
-    return d1, d2, Permutation((1, 0)), Permutation((2, 0, 1)), Permutation.identity(1)
+    return d1, d2, Permutation((1, 0)), Permutation((2, 0, 1))
 
 
 def test_permute_pair_carries_the_zero_record_that_names_the_right_factor(monkeypatch):
-    d1, d2, rows, mid, cols = boundary_pair()
+    d1, d2, rows, mid = boundary_pair()
     assert d1.mul(d2).is_zero() and d1._record[0] is d2
-    d1p, d2p = gf2._permute_pair(d1, d2, rows, mid, cols)
-    assert d1p == d1.permute(rows, mid) and d2p == d2.permute(mid, cols)
+    d1p, d2p = gf2._permute_pair(d1, d2, rows, mid)
+    assert d1p == d1.permute(rows, mid) and d2p == d2.permute(mid, Permutation.identity(1))
     assert d1p._record[0] is d2p and d1p._record[1] is False
     loops = []
     loop = gf2._mul_rows
@@ -502,8 +506,7 @@ def test_permute_pair_carries_no_other_record():
     for left, right in cases:
         assert left._record is None or left._record[0] is not right or left._record[1]
         left_p, _ = gf2._permute_pair(
-            left, right, Permutation.identity(left.rows), Permutation.identity(left.cols),
-            Permutation.identity(right.cols),
+            left, right, Permutation.identity(left.rows), Permutation.identity(left.cols)
         )
         assert left_p._record is None
 

@@ -215,8 +215,9 @@ def test_direct_reduction_is_the_general_one_on_the_pair_split(width, height, de
         assert general.f(k) == triple.f(k)
         assert general.g(k) == triple.g(k)
         assert general.h(k) == triple.h(k)
-    assert triple.f(0) == hstack(rc.S.mul(linv), Gf2Matrix.identity(s0))
-    assert triple.g(1) == vstack(linv.mul(rc.T), Gf2Matrix.identity(s1))
+    _, (_, _, block_t), (block_s, _, _) = rc.split.blocks(1)
+    assert triple.f(0) == hstack(block_s.mul(linv), Gf2Matrix.identity(s0))
+    assert triple.g(1) == vstack(linv.mul(block_t), Gf2Matrix.identity(s1))
     zeros = Gf2Matrix.zeros
     assert triple.h(0) == vstack(hstack(linv, zeros(nv, s0)), hstack(zeros(s1, nv), zeros(s1, s0)))
 

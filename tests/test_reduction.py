@@ -11,7 +11,7 @@ from morsereduce.gf2 import Gf2Matrix
 from morsereduce.image import random_image
 from morsereduce.pipeline import reduce_pipeline
 from morsereduce.reduction import TriangularityViolation, hexagonal_reduce, reorder
-from morsereduce.vectorfield import rs_algorithm, sort_by_lambda
+from morsereduce.vectorfield import DiscreteVectorField, rs_algorithm, sort_by_lambda
 
 from oracle import betti_from_matrices
 
@@ -57,8 +57,10 @@ def test_reorder_permutes_entries_consistently():
         for j in range(t.d1.cols):
             assert d1.get(rc.row_perm(i), rc.col_perm(j)) == t.d1.get(i, j)
     # Blocks reassemble to the permuted matrices.
-    assert rc.L.rows == rc.nv and rc.T.cols == t.d1.cols - rc.nv
-    assert rc.d2_top.rows == rc.nv
+    _, (_, _, block_t), _ = rc.split.blocks(1)
+    (_, _, d2_top), _, _ = rc.split.blocks(2)
+    assert rc.L.rows == rc.nv and block_t.cols == t.d1.cols - rc.nv
+    assert d2_top.rows == rc.nv
     assert rc.reordered.d2.rows == t.d2.rows
 
 
@@ -67,11 +69,26 @@ def test_reorder_rejects_non_triangular_blocks():
     # relation order contradicts the matrix forces a non-triangular block.
     d1 = Gf2Matrix.from_rows([[1, 1], [1, 1]])
     t = TruncatedComplex(d1, Gf2Matrix.zeros(2, 0))
-    from morsereduce.vectorfield import DiscreteVectorField
-
-    bad = DiscreteVectorField(((1, 0), (0, 1)), frozenset(), {0: 0, 1: 0})
+    bad = DiscreteVectorField(((1, 0), (0, 1)), {0: 0, 1: 0})
     with pytest.raises(TriangularityViolation):
         reorder(t, bad)
+
+
+@pytest.mark.parametrize(
+    "pairs, what",
+    [
+        (((0, 0), (0, 1)), "row"),  # a repeated row
+        (((0, 0), (1, 0)), "column"),  # a repeated column
+        (((2, 0),), "row"),  # rows run 0..1
+        (((0, -1),), "column"),  # columns run 0..2
+        (((0, 3),), "column"),
+    ],
+)
+def test_reorder_rejects_pairs_that_reuse_or_leave_the_indices(pairs, what):
+    t = TruncatedComplex(Gf2Matrix.from_rows([[1, 1, 0], [0, 1, 1]]), Gf2Matrix.zeros(3, 0))
+    field = DiscreteVectorField(pairs, {r: 0 for r, _ in pairs})
+    with pytest.raises(ValueError, match=f"^{what} indices"):
+        reorder(t, field)
 
 
 def test_unit_triangular_block_is_nilpotent_after_shifting():
@@ -125,7 +142,7 @@ def test_reduced_d2_matches_both_defining_formulas():
     t = image_complex(7, 7, 0.55, 31)
     rc = reorder_of(t)
     small, triple = hexagonal_reduce(rc)
-    assert small.d2 == rc.d2_bot
+    assert small.d2 == rc.split.blocks(2)[2][2]  # the critical rows of the reordered D2
     assert triple.f(1).mul(rc.reordered.d2) == small.d2
 
 
@@ -259,7 +276,8 @@ def test_direct_lift_is_the_inverse_times_t(width, height, density, seed):
     rc = reorder_of(image_complex(width, height, density, seed))
     _, triple = hexagonal_reduce(rc)
     lift, rest = triple.g(1).split_rows(rc.nv)
-    assert rc.nv > 0 and lift == rc.L.inv_unit_lower_triangular().mul(rc.T)
+    block_t = rc.split.blocks(1)[1][2]
+    assert rc.nv > 0 and lift == rc.L.inv_unit_lower_triangular().mul(block_t)
     assert rest == Gf2Matrix.identity(rest.rows)
 
 

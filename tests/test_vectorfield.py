@@ -12,6 +12,7 @@ from morsereduce.image import random_image
 from morsereduce.vectorfield import (
     DiscreteVectorField,
     _longest_path_lengths,
+    _relation_edges,
     check_admissible,
     format_dvf,
     rs_algorithm,
@@ -29,26 +30,37 @@ def random_matrix(rng, rows, cols, density=0.5):
 
 
 def test_all_ones_two_by_two_traced_by_hand():
-    vf = rs_algorithm(Gf2Matrix.from_rows([[1, 1], [1, 1]]))
+    m = Gf2Matrix.from_rows([[1, 1], [1, 1]])
+    vf = rs_algorithm(m)
     # Row 0 takes column 0, relating it to row 1; row 1 then finds only
     # column 1, whose induced edge 1 -> 0 would close a loop via 0 -> 1,
     # so row 1 stays unpaired.
     assert vf.pairs == ((0, 0),)
-    assert vf.relation == frozenset({(0, 1)})
+    assert _relation_edges(m, vf.pairs) == {(0, 1)}
     assert dict(vf.lambdas) == {0: 1}
 
 
 def test_identity_pairs_everything_without_relations():
-    vf = rs_algorithm(Gf2Matrix.identity(3))
+    m = Gf2Matrix.identity(3)
+    vf = rs_algorithm(m)
     assert vf.pairs == ((0, 0), (1, 1), (2, 2))
-    assert vf.relation == frozenset()
+    assert _relation_edges(m, vf.pairs) == set()
     assert dict(vf.lambdas) == {0: 0, 1: 0, 2: 0}
 
 
 def test_zero_matrix_gives_empty_field():
     vf = rs_algorithm(Gf2Matrix.zeros(3, 4))
     assert vf.pairs == () and vf.nv == 0
-    assert check_admissible(Gf2Matrix.zeros(3, 4), vf).ok
+    report = check_admissible(Gf2Matrix.zeros(3, 4), vf)
+    assert report.ok
+    assert [e.name for e in report.entries] == [
+        "pairs_in_range",
+        "pair_entries_one",
+        "rows_distinct",
+        "cols_distinct",
+        "relation_acyclic",
+        "lambdas_match_longest_paths",
+    ]
 
 
 def test_chain_example_traced_by_hand():
@@ -57,7 +69,7 @@ def test_chain_example_traced_by_hand():
     m = Gf2Matrix.from_rows([[1, 0, 0], [0, 1, 1], [1, 0, 1]])
     vf = rs_algorithm(m)
     assert vf.pairs == ((0, 0), (1, 1), (2, 2))
-    assert vf.relation == frozenset({(0, 2), (2, 1)})
+    assert _relation_edges(m, vf.pairs) == {(0, 2), (2, 1)}
     assert dict(vf.lambdas) == {0: 2, 1: 0, 2: 1}
     sorted_vf = sort_by_lambda(vf)
     assert sorted_vf.pairs == ((0, 0), (2, 2), (1, 1))
@@ -67,7 +79,7 @@ def test_chain_example_traced_by_hand():
 def test_sort_breaks_lambda_ties_by_row():
     vf = rs_algorithm(Gf2Matrix.identity(4))
     assert sort_by_lambda(vf).pairs == vf.pairs
-    shuffled = DiscreteVectorField(((3, 0), (1, 1), (2, 2), (0, 3)), frozenset(), {3: 0, 1: 1, 2: 0, 0: 1})
+    shuffled = DiscreteVectorField(((3, 0), (1, 1), (2, 2), (0, 3)), {3: 0, 1: 1, 2: 0, 0: 1})
     assert sort_by_lambda(shuffled).pairs == ((0, 3), (1, 1), (2, 2), (3, 0))
 
 
@@ -84,28 +96,23 @@ def test_rs_output_is_always_admissible():
 
 def test_check_admissible_rejects_broken_fields():
     m = Gf2Matrix.from_rows([[1, 1], [1, 1]])
-    zero_entry = DiscreteVectorField(((0, 0),), frozenset({(0, 1)}), {0: 1})
+    zero_entry = DiscreteVectorField(((0, 0),), {0: 1})
     assert check_admissible(Gf2Matrix.from_rows([[0, 1], [1, 1]]), zero_entry).failures()
 
-    dup_rows = DiscreteVectorField(((0, 0), (0, 1)), frozenset({(0, 1)}), {0: 1})
+    dup_rows = DiscreteVectorField(((0, 0), (0, 1)), {0: 1})
     report = check_admissible(m, dup_rows)
     assert any(e.name == "rows_distinct" for e in report.failures())
 
-    wrong_relation = DiscreteVectorField(((0, 0),), frozenset(), {0: 0})
-    report = check_admissible(m, wrong_relation)
-    assert any(e.name == "relation_matches_pairs" for e in report.failures())
-
-    cyclic = DiscreteVectorField(
-        ((0, 0), (1, 1)), frozenset({(0, 1), (1, 0)}), {0: 1, 1: 1}
-    )
+    # Column 0 relates row 0 to row 1 and column 1 row 1 to row 0.
+    cyclic = DiscreteVectorField(((0, 0), (1, 1)), {0: 1, 1: 1})
     report = check_admissible(m, cyclic)
     assert any(e.name == "relation_acyclic" for e in report.failures())
 
-    wrong_lambda = DiscreteVectorField(((0, 0),), frozenset({(0, 1)}), {0: 5})
+    wrong_lambda = DiscreteVectorField(((0, 0),), {0: 5})
     report = check_admissible(m, wrong_lambda)
     assert any(e.name == "lambdas_match_longest_paths" for e in report.failures())
 
-    out_of_range = DiscreteVectorField(((7, 0),), frozenset(), {7: 0})
+    out_of_range = DiscreteVectorField(((7, 0),), {7: 0})
     assert not check_admissible(m, out_of_range).ok
 
 
@@ -120,31 +127,31 @@ def test_lambda_counts_edges_on_longest_path():
 @pytest.mark.parametrize(
     "succ, cycle",
     [
-        ({0: [1], 1: [0]}, "0 -> 1 -> 0"),
-        ({0: [1], 1: [2], 2: [0]}, "0 -> 1 -> 2 -> 0"),
-        ({0: [0]}, "0 -> 0"),
+        ([[1], [0]], "0 -> 1 -> 0"),
+        ([[1], [2], [0]], "0 -> 1 -> 2 -> 0"),
+        ([[0]], "0 -> 0"),
         # A cycle below an acyclic start; the walk may enter it at 6 or 8.
-        ({5: [6], 6: [7, 8], 8: [6]}, "6 -> 8 -> 6|8 -> 6 -> 8"),
+        ([[], [], [], [], [], [6], [7, 8], [], [6]], "6 -> 8 -> 6|8 -> 6 -> 8"),
     ],
 )
 def test_longest_paths_refuse_a_cycle(succ, cycle):
-    nodes = set(succ) | {v for vs in succ.values() for v in vs}
     with pytest.raises(ValueError, match=cycle):
-        _longest_path_lengths(succ, nodes)
+        _longest_path_lengths(succ, range(len(succ)))
 
 
 def test_format_dvf_frozen():
     m = Gf2Matrix.from_rows([[1, 0, 0], [0, 1, 1], [1, 0, 1]])
-    text = format_dvf(rs_algorithm(m))
+    text = format_dvf(rs_algorithm(m), m)
     assert text == "0 0 2\n2 2 1\n1 1 0\n0 -> 2\n2 -> 1\n"
-    assert format_dvf(rs_algorithm(Gf2Matrix.zeros(2, 2))) == ""
+    zeros = Gf2Matrix.zeros(2, 2)
+    assert format_dvf(rs_algorithm(zeros), zeros) == ""
 
 
 def assert_matches_reference_greedy(m):
     pairs, relation, lambdas = oracle.rs_greedy(m.to_rows(), m.cols)
     vf = rs_algorithm(m)
     assert list(vf.pairs) == pairs
-    assert vf.relation == relation
+    assert _relation_edges(m, vf.pairs) == relation
     assert dict(vf.lambdas) == lambdas
 
 
