@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexes import TruncatedComplex
-from .gf2 import Gf2Matrix
+from .gf2 import Gf2Matrix, _with_index, _words
 from .image import BinaryImage
 
 __all__ = ["CubicalComplex", "build_cubical", "boundary_matrices"]
@@ -97,16 +97,25 @@ def boundary_matrices(cx: CubicalComplex) -> TruncatedComplex:
     D1[v][e] = 1 iff v is an endpoint of e; D2[e][s] = 1 iff e is a side of s.
     The result is the [0, 2] window of an FGChainComplex, whose constructor
     checks D1 . D2 = 0; it is passed on as it is, never rebuilt.
+
+    D1's rows are first listed as their set columns, in increasing order
+    since the edges are visited in index order, and each word is built
+    from its list (gf2._words). D1 keeps the lists as its index, for the
+    loops over its rows (see Gf2Matrix); an edge's two endpoints differ,
+    as build_cubical makes them, so no list repeats a column. Nothing
+    reads D2's rows that way, so D2 keeps no index, and its words are
+    set a side at a time: they are c2 bits wide, and on a 192x192 image
+    that took 15 ms where lists and _words took 28.
     """
     c0, c1, c2 = cx.counts()
-    d1_bits = [0] * c0
+    ends: list[list[int]] = [[] for _ in range(c0)]
     for e, (va, vb) in enumerate(cx.edges):
-        bit = 1 << e
-        d1_bits[va] |= bit
-        d1_bits[vb] |= bit
+        ends[va].append(e)
+        ends[vb].append(e)
     d2_bits = [0] * c1
     for s, sides in enumerate(cx.squares):
         bit = 1 << s
         for e in sides:
             d2_bits[e] |= bit
-    return TruncatedComplex(Gf2Matrix(c0, c1, d1_bits), Gf2Matrix(c1, c2, d2_bits))
+    d1 = _with_index(Gf2Matrix(c0, c1, _words(ends)), ends)
+    return TruncatedComplex(d1, Gf2Matrix(c1, c2, d2_bits))

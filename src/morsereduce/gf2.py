@@ -26,13 +26,6 @@ __all__ = [
 ]
 
 
-# Row count from which transpose peels each row word from its lowest set
-# bit (see _transpose_words). Below it a column word is at most 2 KB,
-# where an operation on the whole word costs about what a narrow one
-# does, and the plain loop, with no band to find, is the cheaper one.
-_WIDE = 1 << 14
-
-
 class Singular(Exception):
     """Raised when a matrix required to be invertible is not."""
 
@@ -64,9 +57,18 @@ class Gf2Matrix:
     [L^-1 T; 0; I] for a unit lower triangular L. Like the record, it
     names factors and holds no product; mul checks it on this matrix's
     own bits before it relies on it (see _Pin).
+
+    ``_index`` is None or a tuple with one tuple per row: the columns of
+    the row's set bits, in increasing order. Only code that already holds
+    those columns sets it (``boundary_matrices`` for D1,
+    ``parse_matrix_text`` and ``transpose``, see _with_index), so no word
+    is peeled to make it. It repeats the words and never replaces them:
+    ``bits`` stays the one canonical form that equality, records, pins and
+    every check read. The loops over a row's set bits read the index
+    when there is one (see _index_rows and _row_products).
     """
 
-    __slots__ = ("rows", "cols", "bits", "_record", "_pin")
+    __slots__ = ("rows", "cols", "bits", "_record", "_pin", "_index")
 
     rows: int
     cols: int
@@ -78,14 +80,17 @@ class Gf2Matrix:
         packed = tuple(bits)
         if len(packed) != rows:
             raise ValueError(f"expected {rows} row words, got {len(packed)}")
-        for i, word in enumerate(packed):
-            if word < 0 or word >> cols:
-                raise ValueError(f"row {i} has bits outside {cols} columns")
+        # Every word is in range exactly when the least and the greatest
+        # are, and min and max compare at C speed.
+        if packed and (min(packed) < 0 or max(packed) >> cols):
+            i = next(i for i, word in enumerate(packed) if word < 0 or word >> cols)
+            raise ValueError(f"row {i} has bits outside {cols} columns")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "bits", packed)
         object.__setattr__(self, "_record", None)
         object.__setattr__(self, "_pin", None)
+        object.__setattr__(self, "_index", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Gf2Matrix is immutable")
@@ -99,6 +104,7 @@ class Gf2Matrix:
         object.__setattr__(m, "bits", bits)
         object.__setattr__(m, "_record", None)
         object.__setattr__(m, "_pin", None)
+        object.__setattr__(m, "_index", None)
         return m
 
     @classmethod
@@ -230,7 +236,7 @@ class Gf2Matrix:
         pin = self._pin
         words = None if pin is None else self._pinned_product(pin, other)
         if words is None:
-            words = _mul_rows(self.bits, other.bits)
+            words = _mul_rows(self, other.bits)
         product = Gf2Matrix._raw(self.rows, other.cols, words)
         # A square that recorded itself would be freed only by the cycle
         # collector, so a matrix's own square is not recorded.
@@ -258,11 +264,23 @@ class Gf2Matrix:
             top = lower._forward(other.bits[pin.offset : pin.offset + a])
             return top + (0,) * (self.rows - a)
         # g = [L^-1 T; 0; I], so g X = [L^-1 (T X); 0; X]
-        top = lower._forward(_mul_rows(rhs.bits, other.bits))
+        top = lower._forward(_mul_rows(rhs, other.bits))
         return top + (0,) * (self.rows - a - self.cols) + other.bits
 
     def transpose(self) -> Gf2Matrix:
-        return Gf2Matrix._raw(self.cols, self.rows, _transpose_words(self.bits, self.cols))
+        """The transpose, which keeps its index whether or not self has one.
+
+        One pass over the index rows appends each row number to the
+        columns it has set; those lists are the transpose's index rows,
+        and _words builds its words from them. The callers read the rows
+        of the transpose as index rows (the columns of D1 in rs_algorithm
+        and _relation_edges), so the index is kept for them.
+        """
+        columns: list[list[int]] = [[] for _ in range(self.cols)]
+        for i, row in enumerate(_index_rows(self)):
+            for j in row:
+                columns[j].append(i)
+        return _with_index(Gf2Matrix._raw(self.cols, self.rows, _words(columns)), columns)
 
     def _power_is_zero(self, k: int) -> bool:
         """Whether self^k = 0, decided exactly.
@@ -444,22 +462,16 @@ class Gf2Matrix:
             raise ValueError(
                 f"permutation sizes {row_perm.size}/{col_perm.size} do not match {self.rows}x{self.cols}"
             )
+        # A moved row's bits land far apart, so its word is built whole:
+        # a band as wide as the row saves nothing and costs a subtraction
+        # a bit.
         cmap = col_perm.image
         out = [0] * self.rows
-        # Each row is peeled banded, as in _set_bits, inlined: with a call
-        # per row, permuting a 192x192 image's D1 measured 8% slower (207
-        # against 192 ms).
-        for i, word in zip(row_perm.image, self.bits):
-            lo = 0
-            if word:
-                lo = (word ^ (word - 1)).bit_length() - 1
-                word >>= lo
-            acc = 0
-            while word:
-                j = word.bit_length() - 1
-                acc |= 1 << cmap[lo + j]
-                word ^= 1 << j
-            out[i] = acc
+        for i, row in zip(row_perm.image, _index_rows(self)):
+            word = 0
+            for j in row:
+                word |= 1 << cmap[j]
+            out[i] = word
         return Gf2Matrix._raw(self.rows, self.cols, tuple(out))
 
     def split_rows(self, i: int) -> tuple[Gf2Matrix, Gf2Matrix]:
@@ -568,7 +580,7 @@ class _Pin:
             if rest[b:] != tuple(_unit_words(c)):
                 return False
             band, target = top, rhs.bits
-        return all(map(eq, _row_products(lower.bits, band), target))
+        return all(map(eq, _row_products(lower, band), target))
 
 
 def _unit_words(n: int) -> Iterable[int]:
@@ -576,14 +588,30 @@ def _unit_words(n: int) -> Iterable[int]:
     return map(int.__lshift__, repeat(1, n), range(n))
 
 
-def _mul_rows(words: Iterable[int], obits: tuple[int, ...]) -> tuple[int, ...]:
-    """The row loop of a product, formed whole."""
-    return tuple(_row_products(words, obits))
+def _mul_rows(left: Gf2Matrix, obits: tuple[int, ...]) -> tuple[int, ...]:
+    """The row loop of a product with left as the left factor, formed whole."""
+    return tuple(_row_products(left, obits))
 
 
-def _row_products(words: Iterable[int], obits: tuple[int, ...]) -> Iterator[int]:
-    """The rows of a product one at a time: each row word selects rows of obits to XOR."""
-    for word in words:
+def _row_products(left: Gf2Matrix, obits: tuple[int, ...]) -> Iterator[int]:
+    """The rows of a product one at a time: each row of left selects rows of obits to XOR.
+
+    The rows are left's index rows when it has an index. Otherwise each
+    word is peeled where it stands, with no list made per row as
+    _index_rows would: the products that a certified run on a 32x32
+    image forms have no index and rows of a few hundred bits, and there
+    the lists made the row loop 1.9 times slower (25 against 13 ms an
+    image).
+    """
+    index = left._index
+    if index is not None:
+        for row in index:
+            acc = 0
+            for j in row:
+                acc ^= obits[j]
+            yield acc
+        return
+    for word in left.bits:
         acc = 0
         while word:
             j = word.bit_length() - 1
@@ -592,8 +620,47 @@ def _row_products(words: Iterable[int], obits: tuple[int, ...]) -> Iterator[int]
         yield acc
 
 
+def _index_rows(m: Gf2Matrix) -> Iterable[Sequence[int]]:
+    """The columns of each row's set bits, in increasing order.
+
+    This is m's index when it has one. Otherwise each row word is peeled
+    by _set_bits as the loop reaches it, and nothing is stored: a sparse
+    word is as wide as its highest column, so every pass over its bits
+    costs operations on that width, where an index row costs one step a
+    column.
+    """
+    index = m._index
+    return map(_set_bits, m.bits) if index is None else index
+
+
+def _with_index(m: Gf2Matrix, index: Iterable[Iterable[int]]) -> Gf2Matrix:
+    """m, keeping index as its index; index[i] must list the columns of
+    row i's set bits in increasing order."""
+    object.__setattr__(m, "_index", tuple(map(tuple, index)))
+    return m
+
+
+def _words(index: Iterable[Sequence[int]]) -> tuple[int, ...]:
+    """The row words of index rows, each a sequence of distinct columns in increasing order.
+
+    Each word is built on its band, from its lowest column on, and
+    shifted into place once, so a row costs one operation as wide as the
+    matrix rather than one per set bit.
+    """
+    out = []
+    for row in index:
+        word = 0
+        if row:
+            lo = row[0]
+            for j in row:
+                word |= 1 << (j - lo)
+            word <<= lo
+        out.append(word)
+    return tuple(out)
+
+
 def _set_bits(word: int) -> list[int]:
-    """The indices of a nonzero word's set bits, in increasing order.
+    """The indices of a word's set bits, in increasing order ([] for 0).
 
     The word is first shifted right by its lowest set bit,
     lo = (w ^ (w - 1)).bit_length() - 1, and only the narrow band left is
@@ -610,43 +677,6 @@ def _set_bits(word: int) -> list[int]:
         out.append(lo + j)
     out.reverse()
     return out
-
-
-def _transpose_words(bits: tuple[int, ...], cols: int) -> tuple[int, ...]:
-    """The column words of a matrix: word j has bit i set where row i has bit j.
-
-    A matrix of fewer than _WIDE rows, whose column words are that narrow,
-    takes the plain loop. From _WIDE rows on, each row is peeled banded,
-    as in _set_bits, and each column word is built from its first row on
-    and shifted into place once, so each set bit costs a narrow OR. On the
-    matrices a certified run on a 32x32 image transposes, the banded loop
-    measured 37% slower than the plain one (3.9 against 2.8 ms an image);
-    on a 192x192 image's D1 it is 22% faster (149 against 191 ms).
-    """
-    out = [0] * cols
-    if len(bits) < _WIDE:
-        for i, word in enumerate(bits):
-            flag = 1 << i
-            while word:
-                j = word.bit_length() - 1
-                out[j] |= flag
-                word ^= 1 << j
-        return tuple(out)
-    first = [0] * cols  # the first row with a bit in each column
-    for i, word in enumerate(bits):
-        if word:  # _set_bits inlined: a call per row measured 8% slower here
-            lo = (word ^ (word - 1)).bit_length() - 1
-            word >>= lo
-            while word:
-                j = word.bit_length() - 1
-                word ^= 1 << j
-                j += lo
-                if out[j]:
-                    out[j] |= 1 << (i - first[j])
-                else:
-                    out[j] = 1
-                    first[j] = i
-    return tuple(map(int.__lshift__, out, first))
 
 
 def _rref(words: Iterable[int], width: int) -> tuple[dict[int, int], int]:
@@ -778,16 +808,24 @@ def parse_matrix_text(text: str) -> Gf2Matrix:
         raise ValueError(f"bad matrix header: {tokens[0]!r} {tokens[1]!r}") from None
     if rows < 0 or cols < 0:
         raise ValueError(f"negative dimension in header: {rows} {cols}")
-    entries = tokens[2:]
-    if len(entries) != rows * cols:
-        raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
-    bits = [0] * rows
-    for pos, tok in enumerate(entries):
-        if tok == "1":
-            bits[pos // cols] |= 1 << (pos % cols)
-        elif tok != "0":
-            raise ValueError(f"entry {pos} is {tok!r}, not 0 or 1")
-    return Gf2Matrix(rows, cols, bits)
+    del tokens[:2]  # the entries are left
+    if len(tokens) != rows * cols:
+        raise ValueError(f"expected {rows * cols} entries, got {len(tokens)}")
+    # Every token is one character exactly when the joined digits are as
+    # many as the tokens, and each is a 0 or a 1 when those two count them all.
+    digits = "".join(tokens)
+    if len(digits) != len(tokens) or digits.count("0") + digits.count("1") != len(digits):
+        pos, tok = next((pos, tok) for pos, tok in enumerate(tokens) if tok not in ("0", "1"))
+        raise ValueError(f"entry {pos} is {tok!r}, not 0 or 1")
+    # Freed before the lists below are made: the garbage collections that
+    # making them starts would each walk a list of rows x cols tokens.
+    del tokens
+    index: list[list[int]] = [[] for _ in range(rows)]
+    pos = digits.find("1")
+    while pos >= 0:
+        index[pos // cols].append(pos % cols)
+        pos = digits.find("1", pos + 1)
+    return _with_index(Gf2Matrix(rows, cols, _words(index)), index)
 
 
 def format_matrix_text(m: Gf2Matrix) -> str:

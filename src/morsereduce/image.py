@@ -7,6 +7,7 @@ strictly below a threshold (default 128), with no maxval rescaling.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 __all__ = [
@@ -20,6 +21,8 @@ __all__ = [
 ]
 
 _WHITESPACE = b" \t\r\n\x0b\x0c"
+_COMMENT = re.compile(rb"#[^\r\n]*")  # a '#' comment runs to the end of its line
+_NOT_A_BIT = re.compile(rb"[^01]")
 
 
 class NetpbmError(ValueError):
@@ -134,18 +137,22 @@ class _Scanner:
         self.pos += 1
         return self.data[self.pos :]
 
-    def bit_token(self) -> int:
-        """Next plain-PBM pixel: a bare 0 or 1, no separator required."""
-        self._skip_filler()
-        if self.pos >= len(self.data):
+    def plain_bits(self, count: int) -> bytes:
+        """The next count plain-PBM pixels as ASCII digits.
+
+        Each pixel is a bare 0 or 1, with no separator required; comments
+        and whitespace between them are dropped in bulk, and the first
+        count bytes left are the pixels. The first of them that is not 0
+        or 1 is named, before any shortage is.
+        """
+        rest = _COMMENT.sub(b"", self.data[self.pos :]).translate(None, _WHITESPACE)
+        pixels = rest[:count]
+        bad = _NOT_A_BIT.search(pixels)
+        if bad is not None:
+            raise NetpbmError(f"bad pixel byte {bad.group()!r}")
+        if len(pixels) < count:
             raise NetpbmError("truncated pixel data")
-        b = self.data[self.pos]
-        self.pos += 1
-        if b == 0x30:
-            return 0
-        if b == 0x31:
-            return 1
-        raise NetpbmError(f"bad pixel byte {bytes([b])!r}")
+        return pixels
 
 
 def _read_size(s: _Scanner) -> tuple[int, int]:
@@ -163,8 +170,7 @@ def parse_pbm(data: bytes) -> BinaryImage:
     width, height = _read_size(s)
     digits = bytearray()
     if magic == b"P1":
-        for _ in range(width * height):
-            digits.append(0x30 + s.bit_token())
+        digits += s.plain_bits(width * height)
     elif magic == b"P4":
         raster = s.start_raster()
         stride = (width + 7) // 8

@@ -13,7 +13,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from .gf2 import Gf2Matrix, _set_bits
+from .gf2 import Gf2Matrix, _index_rows
 from .verification import VerificationReport
 
 __all__ = [
@@ -44,8 +44,8 @@ class DiscreteVectorField:
 def _relation_edges(m: Gf2Matrix, pairs: Iterable[tuple[int, int]]) -> set[tuple[int, int]]:
     """The edges r -> t that pairs in range of m induce: t is another row
     with a 1 in r's paired column."""
-    col_words = m.transpose().bits
-    return {(r, t) for r, c in pairs for t in _set_bits(col_words[c]) if t != r}
+    columns = _index_rows(m.transpose())  # a tuple: a transpose keeps its index
+    return {(r, t) for r, c in pairs for t in columns[c] if t != r}
 
 
 def _longest_path_lengths(succ: Sequence[Sequence[int]], nodes: Iterable[int]) -> dict[int, int]:
@@ -91,28 +91,23 @@ def rs_algorithm(m: Gf2Matrix) -> DiscreteVectorField:
     one of those rows already reaches r; rejected candidates change
     nothing, which lets one ancestor scan per row answer every candidate.
 
-    Each row word, and the column word of each tried candidate, is
-    peeled banded (see gf2._set_bits), so no step costs more than two
-    operations on a row-wide integer; a column is peeled at most once,
-    since the rows of a candidate turned down are kept for the next row
-    that tries it. The graph is kept in row-indexed predecessor and
+    Rows of m, and the candidate columns from m.transpose(), are read as
+    index rows (see gf2._index_rows), so no candidate costs an operation
+    on a row-wide integer. The graph is kept in row-indexed predecessor and
     successor lists, so the work follows the edges, not the width of the
     matrix.
     """
-    col_words = m.transpose().bits
+    columns = _index_rows(m.transpose())  # a tuple: a transpose keeps its index
     used_cols = bytearray(m.cols)
-    turned_down: list = [None] * m.cols  # the rows of a column some row turned down
     pred: list = [()] * m.rows  # row -> its direct predecessors
     succ: list = [()] * m.rows  # row -> its direct successors
     pairs: list[tuple[int, int]] = []
-    for i, word in enumerate(m.bits):
-        if not word:
-            continue
+    for i, row in enumerate(_index_rows(m)):
         ancestors = None
-        for c in _set_bits(word):
+        for c in row:
             if used_cols[c]:
                 continue
-            support = turned_down[c] or _set_bits(col_words[c])  # the rows of c, i among them
+            support = columns[c]  # the rows of c, i among them
             if ancestors is None:
                 # All nodes with a path to i in the current acyclic graph;
                 # i is not among them, so support may hold i itself.
@@ -124,13 +119,11 @@ def rs_algorithm(m: Gf2Matrix) -> DiscreteVectorField:
                         ancestors.add(u)
                         stack.extend(pred[u])
             if ancestors and not ancestors.isdisjoint(support):
-                turned_down[c] = support  # c stays free, and a later row may try it
-                continue  # some other row of c already reaches row i: loop
+                continue  # some other row of c already reaches row i: loop; c stays free
             pairs.append((i, c))
             used_cols[c] = 1
-            support.remove(i)
-            succ[i] = support
-            for t in support:
+            succ[i] = targets = [t for t in support if t != i]
+            for t in targets:
                 if pred[t]:
                     pred[t].append(i)
                 else:

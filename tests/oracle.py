@@ -71,6 +71,11 @@ def unit_lower_inverse(a: Matrix) -> Matrix:
     return x
 
 
+def set_columns(a: Matrix) -> list[list[int]]:
+    """The columns of each row's 1s, in increasing order."""
+    return [[j for j, x in enumerate(row) if x] for row in a]
+
+
 def is_zero(a: Matrix) -> bool:
     return all(all(x == 0 for x in row) for row in a)
 

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from morsereduce.complexes import betti
@@ -108,6 +108,21 @@ def images(draw, largest=20):
 @given(images())
 def test_grid_scan_matches_the_set_and_sort_oracle(img):
     assert_cells_match_the_oracle(img)
+
+
+@settings(max_examples=150, deadline=None)
+@given(images())
+@example(random_image(40, 36, 0.35, 5))  # D1 rows up to 2000 columns wide
+def test_boundary_matrices_are_the_textbook_incidences_of_the_oracle_cells(img):
+    vertices, edges, squares = oracle.cubical_cells(set(img.foreground()))
+    d1 = [[int(v in edge) for edge in edges] for v in range(len(vertices))]
+    d2 = [[int(e in square) for square in squares] for e in range(len(edges))]
+    t = boundary_matrices(build_cubical(img))
+    assert t.dims() == (len(vertices), len(edges), len(squares))
+    assert t.d1.to_rows() == d1 and t.d2.to_rows() == d2
+    # D1 keeps its rows' set columns as its index; nothing reads D2's so.
+    assert list(map(list, t.d1._index)) == oracle.set_columns(d1)
+    assert t.d2._index is None
 
 
 def _full(width, height):

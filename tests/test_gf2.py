@@ -2,7 +2,6 @@
 
 import gc
 import random
-import unittest.mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -275,6 +274,11 @@ def test_singular_names_the_dependent_row(rows, dependent):
         Gf2Matrix.from_rows(rows).inverse()
 
 
+def with_textbook_index(m):
+    """A copy of m that keeps, as its index, the set columns of its textbook rows."""
+    return gf2._with_index(Gf2Matrix(m.rows, m.cols, m.bits), oracle.set_columns(m.to_rows()))
+
+
 def sparse_words(rng, rows, cols):
     """Row words with 0-4 ones each, at random columns below cols."""
     return [
@@ -321,10 +325,18 @@ def kernel_operands(draw):
 @example((Gf2Matrix.zeros(4, 0), Gf2Matrix.zeros(0, 6)))
 @example((Gf2Matrix.zeros(3, 2999), Gf2Matrix(2999, 2, [3] * 2999)))
 def test_mul_and_transpose_match_the_textbook_on_wide_sparse_rows(operands):
+    # Each factor is read as it comes, with no index, and again through an
+    # index of its textbook rows. A transpose keeps its index either way.
     a, b = operands
-    assert a.mul(b).to_rows() == oracle.mat_mul(a.to_rows(), b.to_rows(), b.cols)
+    product = oracle.mat_mul(a.to_rows(), b.to_rows(), b.cols)
+    for left in (a, with_textbook_index(a)):
+        assert left.mul(b).to_rows() == product
     for m in (a, b):
-        assert m.transpose().to_rows() == oracle.transpose(m.to_rows(), m.cols)
+        columns = oracle.transpose(m.to_rows(), m.cols)
+        for source in (m, with_textbook_index(m)):
+            t = source.transpose()
+            assert t.to_rows() == columns
+            assert list(map(list, t._index)) == oracle.set_columns(columns)
 
 
 def expected_record(a, b, product_rows):
@@ -406,8 +418,11 @@ def test_permute_matches_the_textbook_on_wide_sparse_rows(m, seed):
     rows, cols = list(range(m.rows)), list(range(m.cols))
     rng.shuffle(rows)
     rng.shuffle(cols)
-    got = m.permute(Permutation(tuple(rows)), Permutation(tuple(cols)))
-    assert got.to_rows() == oracle.permute(m.to_rows(), rows, cols)
+    want = oracle.permute(m.to_rows(), rows, cols)
+    for source in (m, with_textbook_index(m)):
+        got = source.permute(Permutation(tuple(rows)), Permutation(tuple(cols)))
+        assert got.to_rows() == want
+        assert got._index is None  # nothing reads a permuted matrix's rows as an index
 
 
 @settings(max_examples=200, deadline=None)
@@ -448,24 +463,26 @@ def banded_matrices(draw):
     return Gf2Matrix(rows, 3000, [draw_word[k]() << offset for k in kinds])
 
 
-@pytest.mark.parametrize("wide", [gf2._WIDE, 0], ids=["plain", "banded"])
+@pytest.mark.parametrize("indexed", [False, True], ids=["unindexed", "indexed"])
 @settings(max_examples=100, deadline=None)
 @given(banded_matrices(), st.integers(0, 2**32 - 1))
 @example(Gf2Matrix(4, 3000, [0, 1 << 2999, (2**64 - 1) << 2936, 1 << 2900]), 0)
 @example(Gf2Matrix(3, 3000, [1 << 2950, 0, 1 << 2950]), 1)
-def test_banded_rows_permute_and_transpose_as_the_textbook(wide, m, seed):
+def test_banded_rows_permute_and_transpose_as_the_textbook(indexed, m, seed):
+    # Rows far from column 0 are read through the index, or peeled from
+    # their lowest set bit; either way each word is built on its band.
     rng = random.Random(seed)
-    # With _WIDE at 0, transpose takes its band on every matrix; permute always does.
-    with unittest.mock.patch.object(gf2, "_WIDE", wide):
-        t = m.transpose()
-        assert t.to_rows() == oracle.transpose(m.to_rows(), m.cols)
-        assert t.transpose() == m  # a tall matrix whose columns start at row 2900 or later
-        for a in (m, t):
-            rows, cols = list(range(a.rows)), list(range(a.cols))
-            rng.shuffle(rows)
-            rng.shuffle(cols)
-            got = a.permute(Permutation(tuple(rows)), Permutation(tuple(cols)))
-            assert got.to_rows() == oracle.permute(a.to_rows(), rows, cols)
+    if indexed:
+        m = with_textbook_index(m)
+    t = m.transpose()
+    assert t.to_rows() == oracle.transpose(m.to_rows(), m.cols)
+    assert t.transpose() == m  # a tall matrix whose columns start at row 2900 or later
+    for a in (m, t):
+        rows, cols = list(range(a.rows)), list(range(a.cols))
+        rng.shuffle(rows)
+        rng.shuffle(cols)
+        got = a.permute(Permutation(tuple(rows)), Permutation(tuple(cols)))
+        assert got.to_rows() == oracle.permute(a.to_rows(), rows, cols)
 
 
 def boundary_pair():
@@ -1083,13 +1100,28 @@ def test_matrix_text_round_trip():
     assert format_matrix_text(Gf2Matrix.zeros(3, 0)) == "3 0\n\n\n\n"
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(
+    st.tuples(SMALL, WIDE).flatmap(lambda s: kernel_matrices(*s, wide=True)),
+    st.tuples(SMALL, SMALL).flatmap(lambda s: kernel_matrices(*s)),
+))
+@example(Gf2Matrix.zeros(0, 7))
+@example(Gf2Matrix.zeros(7, 0))
+def test_parsed_matrix_keeps_the_set_columns_of_its_text_as_its_index(m):
+    parsed = parse_matrix_text(format_matrix_text(m))
+    assert parsed == m
+    assert list(map(list, parsed._index)) == oracle.set_columns(m.to_rows())
+
+
 def test_matrix_text_errors():
     with pytest.raises(ValueError):
         parse_matrix_text("2\n")
     with pytest.raises(ValueError):
         parse_matrix_text("2 2\n1 0\n1\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^entry 1 is '2', not 0 or 1$"):
         parse_matrix_text("1 2\n1 2\n")
+    with pytest.raises(ValueError, match=r"^entry 2 is '10', not 0 or 1$"):
+        parse_matrix_text("2 2\n1 0\n10 1\n")  # one token too wide, though the digits count right
     with pytest.raises(ValueError):
         parse_matrix_text("a b\n")
     with pytest.raises(ValueError):

@@ -67,6 +67,11 @@ CASES = [
     ),
     ("verify/random_20_12x12_d0.6", None,
      ["verify", "--random", "20", "--size", "12", "12", "--density", "0.6"]),
+    # Wide enough that D1's rows span thousands of columns, so the fast
+    # path's row kernels run on the sizes the benchmark times.
+    ("homology/random_96x96_d0.35/fast",
+     ("image.pbm", lambda: random_image(96, 96, 0.35, 3).to_pbm().decode()),
+     ["homology", "{path}", "--fast"]),
 ]
 
 

@@ -33,6 +33,30 @@ def test_parse_plain_pbm_with_comments_and_packed_digits():
     assert img.foreground() == [(0, 0), (0, 2), (1, 1)]
 
 
+def test_parse_plain_pbm_takes_comments_and_whitespace_anywhere_in_the_pixels():
+    data = b"P1 3 3#c\n1#one\r0 1\t\n\x0b0# 1 1 1\n10\x0c\n0\n# trailing\n1 1 1"
+    assert parse_pbm(data) == BinaryImage.from_rows([[1, 0, 1], [0, 1, 0], [0, 1, 1]])
+    assert parse_pbm(b"P1\n0 4\n") == BinaryImage(0, 4, 0)  # no pixels, nothing read
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"P1\n2 2\n1 0 1\n", "truncated pixel data"),
+        (b"P1\n2 2\n1 0 # 1 1\n1", "truncated pixel data"),
+        (b"P1\n2 2\n1 0 1 2\n", "bad pixel byte b'2'"),
+        (b"P1\n2 2\n1 x", "bad pixel byte b'x'"),  # the bad byte is named before the shortage
+        (b"P1\n2 2\n1 0 1 1 x", None),  # bytes past the last pixel are not read
+    ],
+)
+def test_plain_pbm_pixel_errors_name_the_first_fault(data, message):
+    if message is None:
+        assert parse_pbm(data).count_foreground() == 3
+    else:
+        with pytest.raises(NetpbmError, match=rf"^{message}$"):
+            parse_pbm(data)
+
+
 def test_parse_raw_pbm_pads_rows_to_bytes():
     # Width 10 needs two bytes per row; trailing pad bits are ignored.
     rows = [0b1000000001, 0b0000000110]

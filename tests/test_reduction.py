@@ -180,20 +180,21 @@ def spy_products(monkeypatch):
     """Log (left, right, formed) for every Gf2Matrix.mul call.
 
     formed says whether the call ran the row loop over the left factor's
-    own rows, rather than answering from its record, an identity factor
-    or its pin's forward substitution.
+    own rows, read through its index or peeled from its words, rather
+    than answering from its record, an identity factor or its pin's
+    forward substitution.
     """
     log, loops = [], []
     mul, rows = Gf2Matrix.mul, gf2._mul_rows
 
-    def counting_rows(words, obits):
-        loops.append(words)
-        return rows(words, obits)
+    def counting_rows(left, obits):
+        loops.append(left)
+        return rows(left, obits)
 
     def logging_mul(a, b):
         before = len(loops)
         out = mul(a, b)
-        log.append((a, b, any(words is a.bits for words in loops[before:])))
+        log.append((a, b, any(left is a for left in loops[before:])))
         return out
 
     monkeypatch.setattr(gf2, "_mul_rows", counting_rows)

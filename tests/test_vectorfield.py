@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from morsereduce import gf2
 from morsereduce.cubical import boundary_matrices, build_cubical
 from morsereduce.gf2 import Gf2Matrix
 from morsereduce.image import random_image
@@ -148,17 +149,45 @@ def test_format_dvf_frozen():
 
 
 def assert_matches_reference_greedy(m):
+    # Once with no index, so that rows are peeled from their words, and
+    # once through an index of the textbook rows.
     pairs, relation, lambdas = oracle.rs_greedy(m.to_rows(), m.cols)
-    vf = rs_algorithm(m)
-    assert list(vf.pairs) == pairs
-    assert _relation_edges(m, vf.pairs) == relation
-    assert dict(vf.lambdas) == lambdas
+    bare = Gf2Matrix(m.rows, m.cols, m.bits)
+    indexed = gf2._with_index(Gf2Matrix(m.rows, m.cols, m.bits), oracle.set_columns(m.to_rows()))
+    for source in (bare, indexed):
+        vf = rs_algorithm(source)
+        assert list(vf.pairs) == pairs
+        assert _relation_edges(source, vf.pairs) == relation
+        assert dict(vf.lambdas) == lambdas
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 16), st.integers(0, 16), st.floats(0.1, 0.6), st.integers(0, 2**32 - 1))
 def test_rs_algorithm_is_the_reference_greedy_on_random_matrices(rows, cols, density, seed):
     assert_matches_reference_greedy(random_matrix(random.Random(seed), rows, cols, density))
+
+
+@st.composite
+def wide_sparse_matrices(draw):
+    """Up to 24 rows of 0-4 ones each, in a window of 1-64 columns that
+    starts anywhere in 3000, so that rows share columns far from column 0."""
+    rows = draw(st.integers(0, 24))
+    width = draw(st.integers(1, 64))
+    offset = draw(st.integers(0, 3000 - width))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    words = [
+        sum(1 << (offset + j) for j in rng.sample(range(width), rng.randint(0, min(4, width))))
+        for _ in range(rows)
+    ]
+    return Gf2Matrix(rows, 3000, words)
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_sparse_matrices())
+@example(Gf2Matrix.zeros(0, 3000))
+@example(Gf2Matrix.zeros(5, 0))
+def test_rs_algorithm_is_the_reference_greedy_on_wide_sparse_rows(m):
+    assert_matches_reference_greedy(m)
 
 
 @settings(max_examples=100, deadline=None)
