@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexes import TruncatedComplex
-from .gf2 import Gf2Matrix, _with_index, _words
+from .gf2 import Gf2Matrix
 from .image import BinaryImage
 
 __all__ = ["CubicalComplex", "build_cubical", "boundary_matrices"]
@@ -98,14 +98,15 @@ def boundary_matrices(cx: CubicalComplex) -> TruncatedComplex:
     The result is the [0, 2] window of an FGChainComplex, whose constructor
     checks D1 . D2 = 0; it is passed on as it is, never rebuilt.
 
-    D1's rows are first listed as their set columns, in increasing order
-    since the edges are visited in index order, and each word is built
-    from its list (gf2._words). D1 keeps the lists as its index, for the
-    loops over its rows (see Gf2Matrix); an edge's two endpoints differ,
-    as build_cubical makes them, so no list repeats a column. Nothing
-    reads D2's rows that way, so D2 keeps no index, and its words are
-    set a side at a time: they are c2 bits wide, and on a 192x192 image
-    that took 15 ms where lists and _words took 28.
+    D1's rows are listed as their set columns, in increasing order since
+    the edges are visited in index order, and D1 is held as those lists
+    (Gf2Matrix._from_index): its words are built when something reads
+    them, as betti does, and the loops over its rows read the lists. An
+    edge's two endpoints differ, as build_cubical makes them, so no list
+    repeats a column. Nothing reads D2's rows that way, so D2 keeps no
+    index, and its words are set a side at a time: they are c2 bits
+    wide, and on a 192x192 image that took 15 ms where lists and
+    gf2._words took 28.
     """
     c0, c1, c2 = cx.counts()
     ends: list[list[int]] = [[] for _ in range(c0)]
@@ -117,5 +118,4 @@ def boundary_matrices(cx: CubicalComplex) -> TruncatedComplex:
         bit = 1 << s
         for e in sides:
             d2_bits[e] |= bit
-    d1 = _with_index(Gf2Matrix(c0, c1, _words(ends)), ends)
-    return TruncatedComplex(d1, Gf2Matrix(c1, c2, d2_bits))
+    return TruncatedComplex(Gf2Matrix._from_index(c0, c1, ends), Gf2Matrix(c1, c2, d2_bits))

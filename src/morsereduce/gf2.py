@@ -9,6 +9,7 @@ zero-dimensional matrices compose like any other.
 from __future__ import annotations
 
 import reprlib
+from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import repeat
@@ -60,12 +61,15 @@ class Gf2Matrix:
 
     ``_index`` is None or a tuple with one tuple per row: the columns of
     the row's set bits, in increasing order. Only code that already holds
-    those columns sets it (``boundary_matrices`` for D1,
-    ``parse_matrix_text`` and ``transpose``, see _with_index), so no word
-    is peeled to make it. It repeats the words and never replaces them:
-    ``bits`` stays the one canonical form that equality, records, pins and
-    every check read. The loops over a row's set bits read the index
-    when there is one (see _index_rows and _row_products).
+    those columns sets it (see _from_index): ``boundary_matrices`` for D1,
+    ``parse_matrix_text``, ``transpose``, ``permute``, and ``split_rows``
+    and ``split_cols`` of an indexed matrix. A matrix made that way builds
+    its words on the first read of ``bits`` (see __getattr__), so words
+    that nothing reads are never built. ``bits`` stays the one canonical
+    form that equality, hashing, records, pins, ``rank``, ``+`` and every
+    check read. The loops over a row's set bits (_index_rows,
+    _row_products), ``is_lower_unitriangular`` and ``_forward`` read the
+    index when there is one.
     """
 
     __slots__ = ("rows", "cols", "bits", "_record", "_pin", "_index")
@@ -106,6 +110,42 @@ class Gf2Matrix:
         object.__setattr__(m, "_pin", None)
         object.__setattr__(m, "_index", None)
         return m
+
+    @classmethod
+    def _from_index(
+        cls, rows: int, cols: int, index: Iterable[Sequence[int]]
+    ) -> Gf2Matrix:
+        """A rows x cols matrix held as its index, with no words until bits is read.
+
+        index[i] lists the columns of row i's set bits, distinct and in
+        increasing order, all below cols, with one entry per row. Nothing
+        here checks that; each caller's columns are in range by
+        construction. ``boundary_matrices`` lists edge indices below c1
+        under each vertex; ``parse_matrix_text`` lists pos % cols for
+        each "1" token; ``transpose`` lists row numbers below self.rows
+        under each column; ``permute`` maps each column through a
+        Permutation of range(cols); and ``split_rows`` and ``split_cols``
+        take slices of an index already in range, the right part of a
+        column split shifted down by the split point.
+        """
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "_record", None)
+        object.__setattr__(m, "_pin", None)
+        object.__setattr__(m, "_index", tuple(map(tuple, index)))
+        return m
+
+    def __getattr__(self, name: str) -> tuple[int, ...]:
+        # Python calls this only for a name it did not find, and every
+        # slot but bits is set by each constructor: so this runs on the
+        # first read of bits of a matrix made by _from_index, and builds
+        # its words once.
+        if name != "bits":
+            raise AttributeError(f"'Gf2Matrix' object has no attribute {name!r}")
+        words = _words(self._index)
+        object.__setattr__(self, "bits", words)
+        return words
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> Gf2Matrix:
@@ -171,10 +211,14 @@ class Gf2Matrix:
 
     def is_lower_unitriangular(self) -> bool:
         """True iff square with 1s on the diagonal and 0s strictly above it."""
-        # Row i qualifies exactly when its highest set bit is bit i.
-        return self.rows == self.cols and all(
-            map(eq, map(int.bit_length, self.bits), range(1, self.rows + 1))
-        )
+        # Row i qualifies exactly when its highest set bit is bit i: the
+        # last column of its index row, when there is an index.
+        if self.rows != self.cols:
+            return False
+        index = self._index
+        if index is not None:
+            return all(row and row[-1] == i for i, row in enumerate(index))
+        return all(map(eq, map(int.bit_length, self.bits), range(1, self.rows + 1)))
 
     def _is_strictly_lower(self) -> bool:
         # Row i qualifies exactly when it has no set bit at or above bit i.
@@ -268,19 +312,19 @@ class Gf2Matrix:
         return top + (0,) * (self.rows - a - self.cols) + other.bits
 
     def transpose(self) -> Gf2Matrix:
-        """The transpose, which keeps its index whether or not self has one.
+        """The transpose, held as its index whether or not self has one.
 
         One pass over the index rows appends each row number to the
-        columns it has set; those lists are the transpose's index rows,
-        and _words builds its words from them. The callers read the rows
-        of the transpose as index rows (the columns of D1 in rs_algorithm
-        and _relation_edges), so the index is kept for them.
+        columns it has set; those lists are the transpose's index rows.
+        The callers in the pipeline read the rows of the transpose only as
+        index rows (the columns of D1 in rs_algorithm and
+        _relation_edges), so its words are built only if bits is read.
         """
         columns: list[list[int]] = [[] for _ in range(self.cols)]
         for i, row in enumerate(_index_rows(self)):
             for j in row:
                 columns[j].append(i)
-        return _with_index(Gf2Matrix._raw(self.cols, self.rows, _words(columns)), columns)
+        return Gf2Matrix._from_index(self.cols, self.rows, columns)
 
     def _power_is_zero(self, k: int) -> bool:
         """Whether self^k = 0, decided exactly.
@@ -391,6 +435,13 @@ class Gf2Matrix:
         if not self.is_lower_unitriangular():
             raise ValueError("matrix is not unit lower triangular")
         out: list[int] = []
+        index = self._index
+        if index is not None:  # each row's last column is its diagonal
+            for row, acc in zip(index, rhs):
+                for j in row[:-1]:
+                    acc ^= out[j]
+                out.append(acc)
+            return tuple(out)
         for i, (word, acc) in enumerate(zip(self.bits, rhs)):
             below = word ^ (1 << i)
             while below:
@@ -462,33 +513,53 @@ class Gf2Matrix:
             raise ValueError(
                 f"permutation sizes {row_perm.size}/{col_perm.size} do not match {self.rows}x{self.cols}"
             )
-        # A moved row's bits land far apart, so its word is built whole:
-        # a band as wide as the row saves nothing and costs a subtraction
-        # a bit.
-        cmap = col_perm.image
-        out = [0] * self.rows
+        # The result is held as its index: each row's columns, moved and
+        # sorted. Its words are built only if bits is read. Each row is
+        # made a tuple at once: a list per row would live until the end
+        # and set off full garbage collections.
+        cmap = col_perm.image.__getitem__
+        out: list = [()] * self.rows
         for i, row in zip(row_perm.image, _index_rows(self)):
-            word = 0
-            for j in row:
-                word |= 1 << cmap[j]
-            out[i] = word
-        return Gf2Matrix._raw(self.rows, self.cols, tuple(out))
+            out[i] = tuple(sorted(map(cmap, row)))
+        return Gf2Matrix._from_index(self.rows, self.cols, out)
 
     def split_rows(self, i: int) -> tuple[Gf2Matrix, Gf2Matrix]:
-        """Split into the first i rows and the rest."""
+        """Split into the first i rows and the rest; an index splits with them."""
         if not 0 <= i <= self.rows:
             raise ValueError(f"row split {i} out of range for {self.rows} rows")
+        index = self._index
+        if index is not None:
+            return (
+                Gf2Matrix._from_index(i, self.cols, index[:i]),
+                Gf2Matrix._from_index(self.rows - i, self.cols, index[i:]),
+            )
         return (
             Gf2Matrix._raw(i, self.cols, self.bits[:i]),
             Gf2Matrix._raw(self.rows - i, self.cols, self.bits[i:]),
         )
 
     def split_cols(self, j: int) -> tuple[Gf2Matrix, Gf2Matrix]:
-        """Split into the first j columns and the rest."""
+        """Split into the first j columns and the rest.
+
+        An index splits row by row at the first column at or above j, and
+        the right part's columns shift down by j.
+        """
         if not 0 <= j <= self.cols:
             raise ValueError(f"column split {j} out of range for {self.cols} columns")
         if j == 0:  # immutable, so the whole matrix is shared, not copied row by row
             return Gf2Matrix.zeros(self.rows, 0), self
+        index = self._index
+        if index is not None:
+            left, right = [], []
+            shift = (-j).__add__
+            for row in index:
+                k = bisect_left(row, j)
+                left.append(row[:k])
+                right.append(tuple(map(shift, row[k:])))
+            return (
+                Gf2Matrix._from_index(self.rows, j, left),
+                Gf2Matrix._from_index(self.rows, self.cols - j, right),
+            )
         mask = (1 << j) - 1
         left = tuple(word & mask for word in self.bits)
         right = tuple(word >> j for word in self.bits)
@@ -631,13 +702,6 @@ def _index_rows(m: Gf2Matrix) -> Iterable[Sequence[int]]:
     """
     index = m._index
     return map(_set_bits, m.bits) if index is None else index
-
-
-def _with_index(m: Gf2Matrix, index: Iterable[Iterable[int]]) -> Gf2Matrix:
-    """m, keeping index as its index; index[i] must list the columns of
-    row i's set bits in increasing order."""
-    object.__setattr__(m, "_index", tuple(map(tuple, index)))
-    return m
 
 
 def _words(index: Iterable[Sequence[int]]) -> tuple[int, ...]:
@@ -825,7 +889,7 @@ def parse_matrix_text(text: str) -> Gf2Matrix:
     while pos >= 0:
         index[pos // cols].append(pos % cols)
         pos = digits.find("1", pos + 1)
-    return _with_index(Gf2Matrix(rows, cols, _words(index)), index)
+    return Gf2Matrix._from_index(rows, cols, index)
 
 
 def format_matrix_text(m: Gf2Matrix) -> str:

@@ -44,7 +44,7 @@ class DiscreteVectorField:
 def _relation_edges(m: Gf2Matrix, pairs: Iterable[tuple[int, int]]) -> set[tuple[int, int]]:
     """The edges r -> t that pairs in range of m induce: t is another row
     with a 1 in r's paired column."""
-    columns = _index_rows(m.transpose())  # a tuple: a transpose keeps its index
+    columns = _index_rows(m.transpose())  # a tuple: a transpose is held as its index
     return {(r, t) for r, c in pairs for t in columns[c] if t != r}
 
 
@@ -88,16 +88,29 @@ def rs_algorithm(m: Gf2Matrix) -> DiscreteVectorField:
     index, and the first whose induced relation edges keep the graph
     acyclic is accepted. Accepting (r, c) adds r -> r' for every other row
     r' with a 1 in column c, so a candidate closes a cycle exactly when
-    one of those rows already reaches r; rejected candidates change
-    nothing, which lets one ancestor scan per row answer every candidate.
+    one of those rows already reaches r.
 
     Rows of m, and the candidate columns from m.transpose(), are read as
     index rows (see gf2._index_rows), so no candidate costs an operation
-    on a row-wide integer. The graph is kept in row-indexed predecessor and
-    successor lists, so the work follows the edges, not the width of the
-    matrix.
+    on a row-wide integer. When every column holds at most two rows, as
+    in the D1 of every cubical complex, _union_find_field answers each
+    candidate with one find; any other matrix takes _ancestor_field's
+    ancestor scan.
     """
-    columns = _index_rows(m.transpose())  # a tuple: a transpose keeps its index
+    columns = _index_rows(m.transpose())  # a tuple: a transpose is held as its index
+    if max(map(len, columns), default=0) <= 2:
+        return _union_find_field(m, columns)
+    return _ancestor_field(m, columns)
+
+
+def _ancestor_field(m: Gf2Matrix, columns: Sequence[Sequence[int]]) -> DiscreteVectorField:
+    """rs_algorithm for any matrix, with columns[c] the rows of column c.
+
+    Rejected candidates change nothing, which lets one ancestor scan per
+    row answer every candidate of that row. The graph is kept in
+    row-indexed predecessor and successor lists, so the work follows the
+    edges, not the width of the matrix.
+    """
     used_cols = bytearray(m.cols)
     pred: list = [()] * m.rows  # row -> its direct predecessors
     succ: list = [()] * m.rows  # row -> its direct successors
@@ -131,6 +144,55 @@ def rs_algorithm(m: Gf2Matrix) -> DiscreteVectorField:
             break
     lambdas = _longest_path_lengths(succ, (r for r, _ in pairs))
     return DiscreteVectorField(tuple(pairs), {r: lambdas[r] for r, _ in pairs})
+
+
+def _union_find_field(m: Gf2Matrix, columns: Sequence[Sequence[int]]) -> DiscreteVectorField:
+    """rs_algorithm for a matrix whose columns hold at most two rows each.
+
+    Accepting (i, c) with other row j adds the one edge i -> j, so every
+    row has at most one successor, and following successors from any row
+    ends at a row with none. Before row i is visited it has no successor,
+    so a candidate (i, c) closes a cycle exactly when j's walk ends at i.
+    A union-find over the rows answers that: the roots are the rows with
+    no successor, find(j) is where j's walk ends, and accepting links i
+    under find(j). A column of one row adds no edge and is always
+    accepted. lambda(r) is then the length of r's walk, counted once per
+    row along the successors (Tarjan, JACM 1975, for the near-linear
+    union-find).
+    """
+    used_cols = bytearray(m.cols)
+    parent = list(range(m.rows))  # the union-find forest over the rows
+    succ = [-1] * m.rows  # row -> its one successor, or -1
+    pairs: list[tuple[int, int]] = []
+    for i, row in enumerate(_index_rows(m)):
+        for c in row:
+            if used_cols[c]:
+                continue
+            support = columns[c]  # the rows of c, i among them
+            if len(support) == 2:
+                j = support[0] if support[1] == i else support[1]
+                root = j
+                while parent[root] != root:  # find, halving the path
+                    parent[root] = root = parent[parent[root]]
+                if root == i:
+                    continue  # j's walk ends at i: a loop; c stays free
+                parent[i] = root
+                succ[i] = j
+            pairs.append((i, c))
+            used_cols[c] = 1
+            break
+    depth = [-1] * m.rows  # a walk's length, once known
+    for r, _ in pairs:
+        walk = []
+        v = r
+        while v >= 0 and depth[v] < 0:
+            walk.append(v)
+            v = succ[v]
+        d = -1 if v < 0 else depth[v]
+        for u in reversed(walk):
+            d += 1
+            depth[u] = d
+    return DiscreteVectorField(tuple(pairs), {r: depth[r] for r, _ in pairs})
 
 
 def check_admissible(m: Gf2Matrix, vf: DiscreteVectorField) -> VerificationReport:

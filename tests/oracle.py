@@ -76,6 +76,11 @@ def set_columns(a: Matrix) -> list[list[int]]:
     return [[j for j, x in enumerate(row) if x] for row in a]
 
 
+def words(a: Matrix) -> list[int]:
+    """Each row as one integer whose bit j is the entry in column j."""
+    return [sum(x << j for j, x in enumerate(row)) for row in a]
+
+
 def is_zero(a: Matrix) -> bool:
     return all(all(x == 0 for x in row) for row in a)
 

@@ -18,7 +18,13 @@ from morsereduce.image import BinaryImage, random_image
 from morsereduce.perturbation import Perturbation, bpl, decompose, vf_reduction_via_bpl
 from morsereduce.pipeline import reduce_pipeline
 from morsereduce.reduction import hexagonal_reduce, reorder
-from morsereduce.vectorfield import check_admissible, rs_algorithm, sort_by_lambda
+from morsereduce.vectorfield import (
+    _ancestor_field,
+    _union_find_field,
+    check_admissible,
+    rs_algorithm,
+    sort_by_lambda,
+)
 
 from oracle import count_components_uf, count_holes_4, cubical_cells
 
@@ -129,7 +135,9 @@ def test_vector_fields_are_admissible_and_triangular():
     500 seeded random matrices up to 100x100 plus all 512 matrices of
     size 3x3: the greedy pairing passes check_admissible, the reordered
     paired block L is unit lower triangular, and pow(L + I, nv) = 0.
-    Exact; budget 60 s.
+    On the D1 of every 4x4 image, the union-find field that rs_algorithm
+    takes for such matrices has the pairs and lambdas of the ancestor
+    scan. Exact; budget 60 s.
     """
     start = time.perf_counter()
     bad = []
@@ -155,8 +163,16 @@ def test_vector_fields_are_admissible_and_triangular():
     for bits in range(1 << 9):
         rows = [[(bits >> (3 * i + j)) & 1 for j in range(3)] for i in range(3)]
         check(Gf2Matrix.from_rows(rows), f"3x3 #{bits}")
+    for img in _exhaustive_4x4():
+        d1 = boundary_matrices(build_cubical(img)).d1
+        columns = d1.transpose()._index
+        if _union_find_field(d1, columns) != _ancestor_field(d1, columns):
+            bad.append((f"4x4 #{img.bits}", "union-find field"))
     elapsed = time.perf_counter() - start
-    detail = f"500 random (up to 100x100) + 512 exhaustive 3x3, exact, {elapsed:.1f}s (budget 60s)"
+    detail = (
+        f"500 random (up to 100x100) + 512 exhaustive 3x3 + 65536 exhaustive 4x4 D1, "
+        f"exact, {elapsed:.1f}s (budget 60s)"
+    )
     if bad:
         detail += f"; first failures: {bad[:3]}"
     _report(not bad and elapsed < 60, "dvf-correctness", detail)

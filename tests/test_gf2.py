@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from morsereduce import gf2
+from morsereduce.cubical import boundary_matrices, build_cubical
 from morsereduce.gf2 import (
     Gf2Matrix,
     NotNilpotent,
@@ -18,6 +19,7 @@ from morsereduce.gf2 import (
     parse_matrix_text,
     vstack,
 )
+from morsereduce.image import random_image
 
 import oracle
 
@@ -276,7 +278,7 @@ def test_singular_names_the_dependent_row(rows, dependent):
 
 def with_textbook_index(m):
     """A copy of m that keeps, as its index, the set columns of its textbook rows."""
-    return gf2._with_index(Gf2Matrix(m.rows, m.cols, m.bits), oracle.set_columns(m.to_rows()))
+    return Gf2Matrix._from_index(m.rows, m.cols, oracle.set_columns(m.to_rows()))
 
 
 def sparse_words(rng, rows, cols):
@@ -326,7 +328,7 @@ def kernel_operands(draw):
 @example((Gf2Matrix.zeros(3, 2999), Gf2Matrix(2999, 2, [3] * 2999)))
 def test_mul_and_transpose_match_the_textbook_on_wide_sparse_rows(operands):
     # Each factor is read as it comes, with no index, and again through an
-    # index of its textbook rows. A transpose keeps its index either way.
+    # index of its textbook rows. A transpose is held as its index either way.
     a, b = operands
     product = oracle.mat_mul(a.to_rows(), b.to_rows(), b.cols)
     for left in (a, with_textbook_index(a)):
@@ -422,7 +424,7 @@ def test_permute_matches_the_textbook_on_wide_sparse_rows(m, seed):
     for source in (m, with_textbook_index(m)):
         got = source.permute(Permutation(tuple(rows)), Permutation(tuple(cols)))
         assert got.to_rows() == want
-        assert got._index is None  # nothing reads a permuted matrix's rows as an index
+        assert list(map(list, got._index)) == oracle.set_columns(want)
 
 
 @settings(max_examples=200, deadline=None)
@@ -546,6 +548,142 @@ def unit_lower(draw, largest=300):
 @example(Gf2Matrix.identity(0))
 def test_inv_unit_lower_triangular_matches_forward_substitution(m):
     assert m.inv_unit_lower_triangular().to_rows() == oracle.unit_lower_inverse(m.to_rows())
+
+
+def words_built(m):
+    """Whether m's bits slot is set, read past the constructor that builds it on first read."""
+    try:
+        object.__getattribute__(m, "bits")
+    except AttributeError:
+        return False
+    return True
+
+
+def index_makers(m, rng):
+    """Constructors of fresh matrices equal to m, one per way an index is kept.
+
+    Each call makes a new matrix held as its index, with no words built.
+    """
+    def parsed(x):
+        return parse_matrix_text(format_matrix_text(x))
+
+    rows, cols = list(range(m.rows)), list(range(m.cols))
+    rng.shuffle(rows)
+    rng.shuffle(cols)
+    p, q = Permutation(tuple(rows)), Permutation(tuple(cols))
+    extra_rows = Gf2Matrix(2, m.cols, sparse_words(rng, 2, m.cols))
+    extra_cols = Gf2Matrix(m.rows, 3, sparse_words(rng, m.rows, 3))
+    makers = {
+        "transpose": lambda: m.transpose().transpose(),
+        "permute": lambda: m.permute(p, q).permute(p.inverse(), q.inverse()),
+        "split_rows_top": lambda: parsed(vstack(m, extra_rows)).split_rows(m.rows)[0],
+        "split_rows_bottom": lambda: parsed(vstack(extra_rows, m)).split_rows(2)[1],
+        "split_cols_left": lambda: parsed(hstack(m, extra_cols)).split_cols(m.cols)[0],
+        "split_cols_right": lambda: parsed(hstack(extra_cols, m)).split_cols(3)[1],
+        "parse_matrix_text": lambda: parsed(m),
+    }
+    if m.cols == 0:  # a split at column 0 hands back a zero-column matrix of words
+        del makers["split_cols_left"]
+    return makers
+
+
+def index_answers(make, m, rng):
+    """What the readers of bits answer on matrices from make, which equal m.
+
+    Each question goes to a fresh matrix, so that it is answered with no
+    words built, unless the question itself reads bits.
+    """
+    inner = rng.randint(0, 5)
+    right = Gf2Matrix(m.cols, inner, sparse_words(rng, m.cols, inner))
+    left = Gf2Matrix(inner, m.rows, sparse_words(rng, inner, m.rows))
+    other = Gf2Matrix(m.rows, m.cols, sparse_words(rng, m.rows, m.cols))
+    answers = {
+        "mul_left": make().mul(right),
+        "mul_right": left.mul(make()),
+        "mul_identity": make().mul(Gf2Matrix.identity(m.cols)),
+        "rank": make().rank(),
+        "add": make() + other,
+        "eq": make() == m,
+        "hash": hash(make()) == hash(m),
+        "is_identity": make().is_identity(),
+        "is_lower_unitriangular": make().is_lower_unitriangular(),
+    }
+    if m.is_lower_unitriangular():
+        rhs = Gf2Matrix(m.rows, inner, sparse_words(rng, m.rows, inner))
+        answers["inv_unit_lower_triangular"] = make().inv_unit_lower_triangular()
+        answers["solve_unit_lower"] = make().solve_unit_lower(rhs)
+    return answers
+
+
+def built(make):
+    """make, with each matrix's words built before it is returned."""
+    def make_built():
+        x = make()
+        assert x.bits is x.bits  # built once, then a plain slot
+        return x
+    return make_built
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(
+    st.tuples(SMALL, WIDE).flatmap(lambda s: kernel_matrices(*s, wide=True)),
+    st.tuples(st.integers(0, 300), SMALL).flatmap(lambda s: kernel_matrices(*s, wide=True)),
+    any_matrix(),
+    unit_lower(largest=60),
+), st.integers(0, 2**32 - 1))
+@example(Gf2Matrix.zeros(0, 7), 0)
+@example(Gf2Matrix.zeros(7, 0), 0)
+@example(Gf2Matrix.identity(5), 1)
+@example(Gf2Matrix(3, 3, [1, 0, 0b110]), 2)  # a zero row, and a row with no diagonal
+def test_index_made_matrices_build_the_textbook_words_on_first_read(m, seed):
+    # Every constructor that keeps an index leaves bits unset; the words
+    # built on first read are the textbook rows', and every reader of
+    # bits answers alike before and after they are built.
+    textbook = m.to_rows()
+    want = index_answers(lambda: Gf2Matrix(m.rows, m.cols, m.bits), m, random.Random(seed))
+    assert want["eq"] and want["hash"]
+    for name, make in index_makers(m, random.Random(seed)).items():
+        x = make()
+        assert not words_built(x), name
+        assert list(map(list, x._index)) == oracle.set_columns(textbook), name
+        assert list(x.bits) == oracle.words(textbook), name
+        assert words_built(x), name
+        assert index_answers(make, m, random.Random(seed)) == want, name
+        assert index_answers(built(make), m, random.Random(seed)) == want, name
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 12), st.integers(0, 12), st.integers(0, 2**32 - 1))
+@example(0, 0, 0)
+def test_index_made_boundaries_build_the_textbook_words_on_first_read(width, height, seed):
+    img = random_image(width, height, 0.5, seed)
+    vertices, edges, squares = oracle.cubical_cells(set(img.foreground()))
+    d1 = [[int(v in edge) for edge in edges] for v in range(len(vertices))]
+
+    def make():
+        return boundary_matrices(build_cubical(img)).d1
+
+    d1_made = make()
+    if d1_made.rows != d1_made.cols:  # the D1 . D2 check asks a square D1 is_identity, on bits
+        assert not words_built(d1_made)
+    assert list(d1_made.bits) == oracle.words(d1)
+    m = Gf2Matrix(len(vertices), len(edges), oracle.words(d1))
+    want = index_answers(lambda: Gf2Matrix(m.rows, m.cols, m.bits), m, random.Random(seed))
+    assert index_answers(make, m, random.Random(seed)) == want
+    assert index_answers(built(make), m, random.Random(seed)) == want
+
+
+def test_a_missing_attribute_of_an_index_made_matrix_still_raises():
+    m = Gf2Matrix(2, 3, [0b101, 0b010]).transpose()
+    assert not words_built(m)
+    for name in ("words", "_bits", "Bits", "__deepcopy__"):
+        with pytest.raises(AttributeError, match=name):
+            getattr(m, name)
+        assert not hasattr(m, name)
+    assert not words_built(m)  # asking for another name builds no words
+    with pytest.raises(AttributeError, match="immutable"):
+        m.bits = (1, 1, 0)
+    assert m.bits == (0b01, 0b10, 0b01)
 
 
 @settings(max_examples=200, deadline=None)

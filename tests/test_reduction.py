@@ -347,3 +347,24 @@ def test_fast_image_reads_no_map_of_its_triple(monkeypatch):
     res = reduce_pipeline(random_image(24, 24, 0.6, 5), fast=True)
     monkeypatch.undo()
     assert res.triple is not None and reads == []
+
+
+def words_built(m):
+    """Whether m's bits slot is set, read past the constructor that builds it on first read."""
+    try:
+        object.__getattribute__(m, "bits")
+    except AttributeError:
+        return False
+    return True
+
+
+def test_fast_image_builds_no_words_that_nothing_reads():
+    # D1ᵀ, the reordered D1, L and S are read only through their index
+    # rows on --fast; T and R build their words when mul and + read them.
+    res = reduce_pipeline(random_image(64, 64, 0.6, 1), fast=True)
+    rc = res.reordered
+    (_, _, _), (block_l, _, block_t), (block_s, _, block_r) = rc.split.blocks(1)
+    assert block_l is rc.L and res.ok
+    for m in (rc.reordered.d1, rc.L, block_s, res.original.d1.transpose()):
+        assert not words_built(m)
+    assert words_built(block_t) and words_built(block_r)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from morsereduce import gf2
+from morsereduce import vectorfield
 from morsereduce.cubical import boundary_matrices, build_cubical
 from morsereduce.gf2 import Gf2Matrix
 from morsereduce.image import random_image
@@ -153,7 +153,7 @@ def assert_matches_reference_greedy(m):
     # once through an index of the textbook rows.
     pairs, relation, lambdas = oracle.rs_greedy(m.to_rows(), m.cols)
     bare = Gf2Matrix(m.rows, m.cols, m.bits)
-    indexed = gf2._with_index(Gf2Matrix(m.rows, m.cols, m.bits), oracle.set_columns(m.to_rows()))
+    indexed = Gf2Matrix._from_index(m.rows, m.cols, oracle.set_columns(m.to_rows()))
     for source in (bare, indexed):
         vf = rs_algorithm(source)
         assert list(vf.pairs) == pairs
@@ -197,3 +197,69 @@ def test_rs_algorithm_is_the_reference_greedy_on_wide_sparse_rows(m):
 def test_rs_algorithm_is_the_reference_greedy_on_image_boundaries(width, height, density, seed):
     img = random_image(width, height, density, seed)
     assert_matches_reference_greedy(boundary_matrices(build_cubical(img)).d1)
+
+
+def both_fields(m):
+    """The union-find field and the ancestor-scan field of m, each called directly."""
+    columns = m.transpose()._index
+    return vectorfield._union_find_field(m, columns), vectorfield._ancestor_field(m, columns)
+
+
+def test_union_find_field_is_the_ancestor_scan_on_500_random_images():
+    rng = random.Random(16)
+    for _ in range(500):
+        width, height = rng.randint(0, 24), rng.randint(0, 24)
+        img = random_image(width, height, rng.uniform(0.1, 0.9), rng.randrange(2**32))
+        union_find, ancestors = both_fields(boundary_matrices(build_cubical(img)).d1)
+        assert union_find == ancestors, (width, height, img.bits)
+
+
+@st.composite
+def graph_matrices(draw):
+    """Matrices whose columns hold 0, 1 or 2 rows each, at random: graphs
+    with loose ends and repeated edges, unlike any cubical D1."""
+    rows, cols = draw(st.integers(0, 30)), draw(st.integers(0, 40))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    columns = [rng.sample(range(rows), rng.randint(0, min(2, rows))) for _ in range(cols)]
+    return Gf2Matrix(cols, rows, [sum(1 << r for r in column) for column in columns]).transpose()
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph_matrices())
+@example(Gf2Matrix.zeros(0, 4))
+@example(Gf2Matrix.zeros(4, 0))
+@example(Gf2Matrix.from_rows([[1, 1, 1, 0], [1, 1, 0, 1]]))  # a repeated edge and two loose ends
+def test_union_find_field_is_the_ancestor_scan_on_graph_matrices(m):
+    union_find, ancestors = both_fields(m)
+    assert union_find == ancestors
+    pairs, _, lambdas = oracle.rs_greedy(m.to_rows(), m.cols)
+    assert list(union_find.pairs) == pairs and dict(union_find.lambdas) == lambdas
+
+
+@pytest.fixture
+def field_calls(monkeypatch):
+    """The names of the field constructions rs_algorithm calls, in order."""
+    calls = []
+    for name in ("_union_find_field", "_ancestor_field"):
+        real = getattr(vectorfield, name)
+        monkeypatch.setattr(
+            vectorfield, name, lambda m, columns, real=real, name=name: calls.append(name) or real(m, columns)
+        )
+    return calls
+
+
+def test_columns_of_at_most_two_rows_take_the_union_find(field_calls):
+    # Row 0 takes column 0 (edge 0 -> 1), row 1 column 2 (its own), and
+    # row 2 column 1 (edge 2 -> 0), whose walk 0 -> 1 does not end at 2.
+    m = Gf2Matrix.from_rows([[1, 1, 0], [1, 0, 1], [0, 1, 0]])
+    assert rs_algorithm(m) == DiscreteVectorField(((0, 0), (1, 2), (2, 1)), {0: 1, 1: 0, 2: 2})
+    assert rs_algorithm(boundary_matrices(build_cubical(random_image(6, 6, 0.5, 3))).d1)
+    assert field_calls == ["_union_find_field", "_union_find_field"]
+
+
+def test_a_column_of_three_rows_takes_the_ancestor_scan(field_calls):
+    m = Gf2Matrix.from_rows([[1, 1], [1, 0], [1, 1]])  # column 0 holds three rows
+    pairs, _, lambdas = oracle.rs_greedy(m.to_rows(), m.cols)
+    vf = rs_algorithm(m)
+    assert list(vf.pairs) == pairs and dict(vf.lambdas) == lambdas
+    assert field_calls == ["_ancestor_field"]
