@@ -98,24 +98,15 @@ def boundary_matrices(cx: CubicalComplex) -> TruncatedComplex:
     The result is the [0, 2] window of an FGChainComplex, whose constructor
     checks D1 . D2 = 0; it is passed on as it is, never rebuilt.
 
-    D1's rows are listed as their set columns, in increasing order since
-    the edges are visited in index order, and D1 is held as those lists
-    (Gf2Matrix._from_index): its words are built when something reads
-    them, as betti does, and the loops over its rows read the lists. An
-    edge's two endpoints differ, as build_cubical makes them, so no list
-    repeats a column. Nothing reads D2's rows that way, so D2 keeps no
-    index, and its words are set a side at a time: they are c2 bits
-    wide, and on a 192x192 image that took 15 ms where lists and
-    gf2._words took 28.
+    The cell lists are the index rows of the transposes: cx.edges holds
+    each edge's two vertices and cx.squares each square's four sides,
+    sorted and distinct as build_cubical makes them, so D1ᵀ and D2ᵀ are
+    held as those lists (Gf2Matrix._from_index) and D1 and D2 as their
+    transposes. Each transpose remembers its source, so D1.transpose()
+    is D1ᵀ again, and rank reads D1 through D1ᵀ as a graph. No words are
+    built here; they are built only for a reader of bits.
     """
     c0, c1, c2 = cx.counts()
-    ends: list[list[int]] = [[] for _ in range(c0)]
-    for e, (va, vb) in enumerate(cx.edges):
-        ends[va].append(e)
-        ends[vb].append(e)
-    d2_bits = [0] * c1
-    for s, sides in enumerate(cx.squares):
-        bit = 1 << s
-        for e in sides:
-            d2_bits[e] |= bit
-    return TruncatedComplex(Gf2Matrix._from_index(c0, c1, ends), Gf2Matrix(c1, c2, d2_bits))
+    d1t = Gf2Matrix._from_index(c1, c0, cx.edges)
+    d2t = Gf2Matrix._from_index(c2, c1, cx.squares)
+    return TruncatedComplex(d1t.transpose(), d2t.transpose())

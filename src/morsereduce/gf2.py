@@ -42,8 +42,10 @@ class Gf2Matrix:
     bits at or above ``cols`` are required to be zero.
 
     ``mul`` tries four steps in turn, each on the actual operands: the
-    record, the identity pass-through, the pin, and the one row loop over
-    the left factor's set bits.
+    record, the identity pass-through, the pin, and then one loop over
+    the left factor's set bits. That loop is the index product when both
+    factors are held as their index, and the row loop over the right
+    factor's words otherwise.
 
     ``_record`` is None or ``(right, is_identity)``: the right factor of
     the last product ``mul`` formed with this matrix on the left that
@@ -61,18 +63,27 @@ class Gf2Matrix:
 
     ``_index`` is None or a tuple with one tuple per row: the columns of
     the row's set bits, in increasing order. Only code that already holds
-    those columns sets it (see _from_index): ``boundary_matrices`` for D1,
-    ``parse_matrix_text``, ``transpose``, ``permute``, and ``split_rows``
-    and ``split_cols`` of an indexed matrix. A matrix made that way builds
-    its words on the first read of ``bits`` (see __getattr__), so words
-    that nothing reads are never built. ``bits`` stays the one canonical
-    form that equality, hashing, records, pins, ``rank``, ``+`` and every
-    check read. The loops over a row's set bits (_index_rows,
-    _row_products), ``is_lower_unitriangular`` and ``_forward`` read the
-    index when there is one.
+    those columns sets it (see _from_index): ``boundary_matrices`` for
+    D1ᵀ and D2ᵀ, ``parse_matrix_text``, ``transpose``, ``permute``,
+    ``_permute_pair`` for a right factor held as its index, the index
+    product, and ``split_rows`` and ``split_cols`` of an indexed matrix.
+    A matrix made that way builds its words on the first read of ``bits``
+    (see __getattr__), so words that nothing reads are never built.
+    ``bits`` stays the one canonical form that equality, hashing, records,
+    pins, ``+`` and every check read. The loops over a row's set bits
+    (_index_rows, _row_products), the index product, ``get``, ``is_zero``,
+    ``is_identity``, ``rank``'s spanning forest, ``is_lower_unitriangular``
+    and ``_forward`` read the index when there is one.
+
+    ``_transposed`` is None or the indexed matrix that ``transpose`` made
+    this one from, so that the transpose of a transpose is read off the
+    index rows already held, not derived again. The reference points one
+    way only, from a transpose to its source, so it makes no reference
+    cycle. ``rank`` reads the source's index rows, which are this
+    matrix's columns.
     """
 
-    __slots__ = ("rows", "cols", "bits", "_record", "_pin", "_index")
+    __slots__ = ("rows", "cols", "bits", "_record", "_pin", "_index", "_transposed")
 
     rows: int
     cols: int
@@ -95,6 +106,7 @@ class Gf2Matrix:
         object.__setattr__(self, "_record", None)
         object.__setattr__(self, "_pin", None)
         object.__setattr__(self, "_index", None)
+        object.__setattr__(self, "_transposed", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Gf2Matrix is immutable")
@@ -109,6 +121,7 @@ class Gf2Matrix:
         object.__setattr__(m, "_record", None)
         object.__setattr__(m, "_pin", None)
         object.__setattr__(m, "_index", None)
+        object.__setattr__(m, "_transposed", None)
         return m
 
     @classmethod
@@ -120,13 +133,17 @@ class Gf2Matrix:
         index[i] lists the columns of row i's set bits, distinct and in
         increasing order, all below cols, with one entry per row. Nothing
         here checks that; each caller's columns are in range by
-        construction. ``boundary_matrices`` lists edge indices below c1
-        under each vertex; ``parse_matrix_text`` lists pos % cols for
-        each "1" token; ``transpose`` lists row numbers below self.rows
-        under each column; ``permute`` maps each column through a
-        Permutation of range(cols); and ``split_rows`` and ``split_cols``
-        take slices of an index already in range, the right part of a
-        column split shifted down by the split point.
+        construction. ``boundary_matrices`` passes the cell lists of a
+        cubical complex, each edge's two vertices and each square's four
+        edges already sorted and distinct; ``parse_matrix_text`` lists
+        pos % cols for each "1" token; ``transpose`` lists row numbers
+        below self.rows under each column; ``permute`` maps each column
+        through a Permutation of range(cols); ``_permute_pair`` moves
+        rows of an index whole; the index product sorts the columns of a
+        right factor's rows that occur an odd number of times; and
+        ``split_rows`` and ``split_cols`` take slices of an index already
+        in range, the right part of a column split shifted down by the
+        split point.
         """
         m = object.__new__(cls)
         object.__setattr__(m, "rows", rows)
@@ -134,6 +151,7 @@ class Gf2Matrix:
         object.__setattr__(m, "_record", None)
         object.__setattr__(m, "_pin", None)
         object.__setattr__(m, "_index", tuple(map(tuple, index)))
+        object.__setattr__(m, "_transposed", None)
         return m
 
     def __getattr__(self, name: str) -> tuple[int, ...]:
@@ -182,13 +200,19 @@ class Gf2Matrix:
     def get(self, i: int, j: int) -> int:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(f"({i}, {j}) out of range for {self.rows}x{self.cols}")
+        index = self._index
+        if index is not None:  # bisect row i's sorted columns for j
+            row = index[i]
+            k = bisect_left(row, j)
+            return int(k < len(row) and row[k] == j)
         return (self.bits[i] >> j) & 1
 
     def to_rows(self) -> list[list[int]]:
         return [[(word >> j) & 1 for j in range(self.cols)] for word in self.bits]
 
     def is_zero(self) -> bool:
-        return not any(self.bits)
+        index = self._index
+        return not any(self.bits if index is None else index)
 
     def is_identity(self) -> bool:
         # The last and first rows reject most square non-identities at
@@ -200,6 +224,9 @@ class Gf2Matrix:
             return False
         if n == 0:
             return True
+        index = self._index
+        if index is not None:  # row i is exactly (i,)
+            return all(map(eq, index, zip(range(n))))
         bits = self.bits
         return (
             bits[-1].bit_count() == 1
@@ -275,13 +302,18 @@ class Gf2Matrix:
         if other.is_identity():
             return self
         # 3. A pinned factor answers by forward substitution through its L,
-        # once its claim has held on its bits. 4. Otherwise the row loop
-        # costs one row XOR per set bit of this factor.
+        # once its claim has held on its bits. 4. Otherwise one loop over
+        # this factor's set bits: on the index rows of other when both are
+        # held as their index, so that neither builds words; else one row
+        # XOR per set bit.
         pin = self._pin
         words = None if pin is None else self._pinned_product(pin, other)
-        if words is None:
-            words = _mul_rows(self, other.bits)
-        product = Gf2Matrix._raw(self.rows, other.cols, words)
+        if words is not None:
+            product = Gf2Matrix._raw(self.rows, other.cols, words)
+        elif self._index is not None and other._index is not None:
+            product = Gf2Matrix._from_index(self.rows, other.cols, _index_product(self, other))
+        else:
+            product = Gf2Matrix._raw(self.rows, other.cols, _mul_rows(self, other.bits))
         # A square that recorded itself would be freed only by the cycle
         # collector, so a matrix's own square is not recorded.
         if other is not self:
@@ -314,17 +346,28 @@ class Gf2Matrix:
     def transpose(self) -> Gf2Matrix:
         """The transpose, held as its index whether or not self has one.
 
-        One pass over the index rows appends each row number to the
-        columns it has set; those lists are the transpose's index rows.
-        The callers in the pipeline read the rows of the transpose only as
-        index rows (the columns of D1 in rs_algorithm and
-        _relation_edges), so its words are built only if bits is read.
+        A matrix that transpose made from an indexed source answers with
+        a new matrix on that source's index rows, shared and not copied,
+        so that it holds no words even where the source has built its
+        own. Otherwise one pass over the index rows appends each row
+        number to the columns it has set; those lists are the transpose's
+        index rows, and the transpose remembers an indexed self as its
+        source. The callers in the pipeline read the rows of a transpose
+        only as index rows (the columns of D1 in rs_algorithm and
+        _relation_edges, and the D1 and D2 that boundary_matrices takes
+        from D1ᵀ and D2ᵀ), so its words are built only if bits is read.
         """
+        source = self._transposed
+        if source is not None:
+            return Gf2Matrix._from_index(self.cols, self.rows, source._index)
         columns: list[list[int]] = [[] for _ in range(self.cols)]
         for i, row in enumerate(_index_rows(self)):
             for j in row:
                 columns[j].append(i)
-        return Gf2Matrix._from_index(self.cols, self.rows, columns)
+        t = Gf2Matrix._from_index(self.cols, self.rows, columns)
+        if self._index is not None:
+            object.__setattr__(t, "_transposed", self)
+        return t
 
     def _power_is_zero(self, k: int) -> bool:
         """Whether self^k = 0, decided exactly.
@@ -368,11 +411,23 @@ class Gf2Matrix:
         return result
 
     def rank(self) -> int:
-        # Pivot dictionary, as in inverse and right_kernel_basis: each row
-        # is XORed against the pivot stored for its current key bit until
-        # it is zero or claims a free key. Rank needs no canonical form, so
-        # the key is the leading bit (bit_length is O(1) on ints) and the
-        # cost is pure row XORs.
+        """The rank over GF(2).
+
+        A matrix whose index rows, or whose source's (see transpose), hold
+        at most 2 columns each is the incidence matrix of a graph, and its
+        rank is counted as a spanning forest (_forest_rank) with no words.
+        In the pipeline these are D1, through D1ᵀ, and D2 and the critical
+        rows of D2 themselves. Any other matrix is reduced by the pivot
+        dictionary, as in inverse and right_kernel_basis: each row is
+        XORed against the pivot stored for its current key bit until it
+        is zero or claims a free key. Rank needs no canonical form, so the
+        key is the leading bit (bit_length is O(1) on ints) and the cost
+        is pure row XORs.
+        """
+        for graph in (self, self._transposed):
+            index = None if graph is None else graph._index
+            if index is not None and max(map(len, index), default=0) <= 2:
+                return _forest_rank(index, graph.cols)
         pivots: dict[int, int] = {}
         limit = min(self.rows, self.cols)
         for word in self.bits:
@@ -576,18 +631,23 @@ def _permute_pair(
 
     Returns left.permute(row_perm, mid_perm) and right (left.cols rows)
     with its rows moved by mid_perm. right's columns stay put, so each of
-    its row words moves whole: rows are immutable ints, and the permuted
-    right shares them with right. The product of the two is the permuted
+    its rows moves whole, as a row word or, when right is held as its
+    index, as an index row: both are immutable, and the permuted right
+    shares them with right. The product of the two is the permuted
     product of left and right, so when left's record names right itself
     (``is``) as a zero product, the permuted left records the permuted
     right as one (see Gf2Matrix). Any other record is not carried, and a
     later product is formed.
     """
     left_p = left.permute(row_perm, mid_perm)
-    out = [0] * right.rows
-    for i, word in zip(mid_perm.image, right.bits):
-        out[i] = word
-    right_p = Gf2Matrix._raw(right.rows, right.cols, tuple(out))
+    index = right._index
+    out: list = [0] * right.rows
+    for i, row in zip(mid_perm.image, right.bits if index is None else index):
+        out[i] = row
+    if index is None:
+        right_p = Gf2Matrix._raw(right.rows, right.cols, tuple(out))
+    else:
+        right_p = Gf2Matrix._from_index(right.rows, right.cols, out)
     record = left._record
     if record is not None and record[0] is right and not record[1]:
         object.__setattr__(left_p, "_record", (right_p, False))
@@ -689,6 +749,55 @@ def _row_products(left: Gf2Matrix, obits: tuple[int, ...]) -> Iterator[int]:
             acc ^= obits[j]
             word ^= 1 << j
         yield acc
+
+
+def _index_product(left: Gf2Matrix, right: Gf2Matrix) -> list[tuple[int, ...]]:
+    """The index rows of the product of two matrices held as their index.
+
+    Row i of the product sets the columns that occur an odd number of
+    times among the index rows of right that row i of left selects. Each
+    row is made a tuple at once, as in permute.
+    """
+    rows = right._index
+    out = []
+    for row in left._index:
+        odd: set[int] = set()
+        for j in row:
+            odd ^= set(rows[j])
+        out.append(tuple(sorted(odd)) if odd else ())
+    return out
+
+
+def _forest_rank(index: Sequence[Sequence[int]], cols: int) -> int:
+    """The GF(2) rank of a matrix whose index rows hold at most 2 columns each.
+
+    Each row is an edge of a graph on the columns and one extra ground
+    vertex, cols: a row of two columns joins them, a row of one joins its
+    column to the ground, and an empty row is no edge. With the ground
+    column added every row has even weight, so the ground column is the
+    sum of the others and adding it changes no rank. The rank of a
+    graph's incidence matrix over GF(2) is the number of edges of a
+    spanning forest, which a union-find counts as the edges that join
+    two trees (Tarjan, JACM 1975). A repeated row closes a cycle and
+    counts nothing.
+    """
+    parent = list(range(cols + 1))
+    rank = 0
+    for row in index:
+        if len(row) == 2:
+            a, b = row
+        elif row:
+            a, b = row[0], cols
+        else:
+            continue
+        while parent[a] != a:  # find, halving the path
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            parent[a] = b
+            rank += 1
+    return rank
 
 
 def _index_rows(m: Gf2Matrix) -> Iterable[Sequence[int]]:

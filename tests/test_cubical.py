@@ -117,12 +117,15 @@ def test_boundary_matrices_are_the_textbook_incidences_of_the_oracle_cells(img):
     vertices, edges, squares = oracle.cubical_cells(set(img.foreground()))
     d1 = [[int(v in edge) for edge in edges] for v in range(len(vertices))]
     d2 = [[int(e in square) for square in squares] for e in range(len(edges))]
-    t = boundary_matrices(build_cubical(img))
+    cx = build_cubical(img)
+    t = boundary_matrices(cx)
     assert t.dims() == (len(vertices), len(edges), len(squares))
     assert t.d1.to_rows() == d1 and t.d2.to_rows() == d2
-    # D1 keeps its rows' set columns as its index; nothing reads D2's so.
+    # D1 and D2 keep their rows' set columns as their index, and each is
+    # the transpose of its cell list, which its transpose() hands back.
     assert list(map(list, t.d1._index)) == oracle.set_columns(d1)
-    assert t.d2._index is None
+    assert list(map(list, t.d2._index)) == oracle.set_columns(d2)
+    assert t.d1.transpose()._index == cx.edges and t.d2.transpose()._index == cx.squares
 
 
 def _full(width, height):

@@ -326,19 +326,36 @@ def kernel_operands(draw):
 @example((Gf2Matrix.zeros(0, 5), Gf2Matrix.zeros(5, 3)))
 @example((Gf2Matrix.zeros(4, 0), Gf2Matrix.zeros(0, 6)))
 @example((Gf2Matrix.zeros(3, 2999), Gf2Matrix(2999, 2, [3] * 2999)))
+# column 0 of each product row is selected twice and cancels
+@example((Gf2Matrix(2, 3, [0b011, 0b110]), Gf2Matrix(3, 2, [0b01, 0b11, 0b01])))
 def test_mul_and_transpose_match_the_textbook_on_wide_sparse_rows(operands):
     # Each factor is read as it comes, with no index, and again through an
-    # index of its textbook rows. A transpose is held as its index either way.
+    # index of its textbook rows. With both factors indexed, the product
+    # is formed on index rows: neither factor builds words, and the
+    # product is held as its index. A transpose is held as its index
+    # either way, and so is the transpose of a transpose, with no words
+    # even when its source has built its own; the source a transpose
+    # remembers holds exactly the transposed bits.
     a, b = operands
     product = oracle.mat_mul(a.to_rows(), b.to_rows(), b.cols)
     for left in (a, with_textbook_index(a)):
         assert left.mul(b).to_rows() == product
+    left, right = with_textbook_index(a), with_textbook_index(b)
+    both = left.mul(right)
+    assert not (words_built(left) or words_built(right) or words_built(both))
+    assert list(map(list, both._index)) == oracle.set_columns(product)
+    assert both.to_rows() == product
     for m in (a, b):
         columns = oracle.transpose(m.to_rows(), m.cols)
         for source in (m, with_textbook_index(m)):
             t = source.transpose()
             assert t.to_rows() == columns
             assert list(map(list, t._index)) == oracle.set_columns(columns)
+            assert t._transposed is (source if source._index is not None else None)
+            assert source.bits is source.bits  # the source's words, built first
+            back = t.transpose()
+            assert back is not source and back._index is not None and not words_built(back)
+            assert back.to_rows() == m.to_rows()
 
 
 def expected_record(a, b, product_rows):
@@ -597,7 +614,16 @@ def index_answers(make, m, rng):
     right = Gf2Matrix(m.cols, inner, sparse_words(rng, m.cols, inner))
     left = Gf2Matrix(inner, m.rows, sparse_words(rng, inner, m.rows))
     other = Gf2Matrix(m.rows, m.cols, sparse_words(rng, m.rows, m.cols))
+    cells = []
+    if m.rows and m.cols:
+        cells = [(rng.randrange(m.rows), rng.randrange(m.cols)) for _ in range(8)]
+    cells += [(i, j) for i, row in enumerate(oracle.set_columns(m.to_rows())) for j in row][:8]
+    probe = make()
+    had_words = words_built(probe)
+    got = [probe.get(i, j) for i, j in cells]
     answers = {
+        "get": got,
+        "get_builds_no_words": words_built(probe) == had_words,
         "mul_left": make().mul(right),
         "mul_right": left.mul(make()),
         "mul_identity": make().mul(Gf2Matrix.identity(m.cols)),
@@ -659,18 +685,19 @@ def test_index_made_boundaries_build_the_textbook_words_on_first_read(width, hei
     img = random_image(width, height, 0.5, seed)
     vertices, edges, squares = oracle.cubical_cells(set(img.foreground()))
     d1 = [[int(v in edge) for edge in edges] for v in range(len(vertices))]
+    d2 = [[int(e in square) for square in squares] for e in range(len(edges))]
+    for degree, textbook in ((1, d1), (2, d2)):
+        def make():
+            return boundary_matrices(build_cubical(img)).d(degree)
 
-    def make():
-        return boundary_matrices(build_cubical(img)).d1
-
-    d1_made = make()
-    if d1_made.rows != d1_made.cols:  # the D1 . D2 check asks a square D1 is_identity, on bits
-        assert not words_built(d1_made)
-    assert list(d1_made.bits) == oracle.words(d1)
-    m = Gf2Matrix(len(vertices), len(edges), oracle.words(d1))
-    want = index_answers(lambda: Gf2Matrix(m.rows, m.cols, m.bits), m, random.Random(seed))
-    assert index_answers(make, m, random.Random(seed)) == want
-    assert index_answers(built(make), m, random.Random(seed)) == want
+        made = make()
+        assert made.rank() == oracle.rank(textbook)
+        assert not words_built(made)  # not by the D1 . D2 check, nor by a spanning-forest rank
+        assert list(made.bits) == oracle.words(textbook)
+        m = Gf2Matrix(made.rows, made.cols, oracle.words(textbook))
+        want = index_answers(lambda: Gf2Matrix(m.rows, m.cols, m.bits), m, random.Random(seed))
+        assert index_answers(make, m, random.Random(seed)) == want
+        assert index_answers(built(make), m, random.Random(seed)) == want
 
 
 def test_a_missing_attribute_of_an_index_made_matrix_still_raises():
@@ -684,6 +711,37 @@ def test_a_missing_attribute_of_an_index_made_matrix_still_raises():
     with pytest.raises(AttributeError, match="immutable"):
         m.bits = (1, 1, 0)
     assert m.bits == (0b01, 0b10, 0b01)
+
+
+@st.composite
+def graph_index(draw, largest=12):
+    """(rows, cols, index): index rows of 0-2 sorted distinct columns, repeats likely."""
+    rows, cols = draw(st.integers(0, largest)), draw(st.integers(0, largest))
+    pool = [()] + [(j,) for j in range(cols)]
+    pool += [(a, b) for a in range(cols) for b in range(a + 1, cols)]
+    distinct = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
+    return rows, cols, draw(st.lists(st.sampled_from(distinct), min_size=rows, max_size=rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph_index())
+@example((0, 6, []))
+@example((6, 0, [()] * 6))
+@example((4, 3, [(0, 2)] * 4))  # one row, repeated
+@example((3, 3, [(0,), (0, 1), (1,)]))  # a cycle through the ground vertex
+def test_spanning_forest_rank_is_the_word_rank(shape):
+    # Rows of 0-2 ones, and (as the transpose) columns of 0-2 ones: both
+    # ranks are counted by union-find on the index, with no words built,
+    # and equal the word rank of the same entries and the oracle's.
+    rows, cols, index = shape
+    textbook = [[int(j in row) for j in range(cols)] for row in index]
+    want = oracle.rank(textbook)
+    by_rows = Gf2Matrix._from_index(rows, cols, index)
+    by_cols = by_rows.transpose()
+    assert by_rows.rank() == want and by_cols.rank() == want
+    assert not words_built(by_rows) and not words_built(by_cols)
+    assert Gf2Matrix(rows, cols, oracle.words(textbook)).rank() == want
+    assert Gf2Matrix(cols, rows, by_cols.bits).rank() == want
 
 
 @settings(max_examples=200, deadline=None)

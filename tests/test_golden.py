@@ -16,8 +16,10 @@ import contextlib
 import io
 import json
 import pathlib
+import os
 import random
 import re
+import subprocess
 import sys
 import tempfile
 
@@ -106,6 +108,22 @@ def test_golden_file_covers_every_case(golden):
 @pytest.mark.parametrize("case_id, file, argv", CASES, ids=[c[0] for c in CASES])
 def test_output_is_byte_identical_to_the_recorded_one(golden, tmp_path, case_id, file, argv):
     assert run_case(file, argv, tmp_path) == golden[case_id]
+
+
+def test_python_dash_m_prints_the_golden_report(golden, tmp_path):
+    # The package runs as a module, as the installed script does.
+    path = tmp_path / "ring.pbm"
+    path.write_text(IMAGES["ring"], encoding="ascii")
+    src = pathlib.Path(cli.__file__).resolve().parent.parent
+    paths = [str(src), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    done = subprocess.run(
+        [sys.executable, "-m", "morsereduce", "homology", str(path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    case = golden["homology/ring/certified"]
+    got = {"code": done.returncode, "out": _untimed(done.stdout), "err": done.stderr}
+    assert got == case
 
 
 if __name__ == "__main__":

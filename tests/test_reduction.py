@@ -179,17 +179,22 @@ def test_fast_pipeline_forms_no_unread_product(monkeypatch):
 def spy_products(monkeypatch):
     """Log (left, right, formed) for every Gf2Matrix.mul call.
 
-    formed says whether the call ran the row loop over the left factor's
-    own rows, read through its index or peeled from its words, rather
-    than answering from its record, an identity factor or its pin's
-    forward substitution.
+    formed says whether the call ran a loop over the left factor's own
+    rows, read through its index or peeled from its words, rather than
+    answering from its record, an identity factor or its pin's forward
+    substitution. That loop is the row loop, or the index product when
+    both factors are held as their index.
     """
     log, loops = [], []
-    mul, rows = Gf2Matrix.mul, gf2._mul_rows
+    mul, rows, index_product = Gf2Matrix.mul, gf2._mul_rows, gf2._index_product
 
     def counting_rows(left, obits):
         loops.append(left)
         return rows(left, obits)
+
+    def counting_index_product(left, right):
+        loops.append(left)
+        return index_product(left, right)
 
     def logging_mul(a, b):
         before = len(loops)
@@ -198,6 +203,7 @@ def spy_products(monkeypatch):
         return out
 
     monkeypatch.setattr(gf2, "_mul_rows", counting_rows)
+    monkeypatch.setattr(gf2, "_index_product", counting_index_product)
     monkeypatch.setattr(Gf2Matrix, "mul", logging_mul)
     return log
 
@@ -232,7 +238,7 @@ def test_reorder_carries_the_boundary_record_to_the_permuted_pair(monkeypatch):
     d1r, d2r = rc.reordered.d1, rc.reordered.d2
     assert d1r._record == (d2r, False) and d1r._record[0] is d2r
     assert boundary_products(log, t) == [False]
-    assert all(d2r.bits[rc.col_perm(i)] is word for i, word in enumerate(t.d2.bits))
+    assert all(d2r._index[rc.col_perm(i)] is row for i, row in enumerate(t.d2._index))
 
 
 def test_reorder_forms_the_boundary_product_when_the_record_names_another_factor(monkeypatch):
@@ -359,12 +365,22 @@ def words_built(m):
 
 
 def test_fast_image_builds_no_words_that_nothing_reads():
-    # D1ᵀ, the reordered D1, L and S are read only through their index
-    # rows on --fast; T and R build their words when mul and + read them.
+    # D1 and D2, D1ᵀ and D2ᵀ, the reordered D1 and D2, L and S are read
+    # only through their index rows on --fast: the D1 . D2 check is an
+    # index product and betti's ranks are spanning forests. T and R build
+    # their words when mul and + read them, and D2', the critical rows of
+    # the reordered D2, when the critical complex's check multiplies the
+    # sum D1' = R + S L^-1 T, held as words, by it.
     res = reduce_pipeline(random_image(64, 64, 0.6, 1), fast=True)
     rc = res.reordered
+    original = res.original
     (_, _, _), (block_l, _, block_t), (block_s, _, block_r) = rc.split.blocks(1)
     assert block_l is rc.L and res.ok
-    for m in (rc.reordered.d1, rc.L, block_s, res.original.d1.transpose()):
-        assert not words_built(m)
+    assert res.reduced.d2 is rc.split.blocks(2)[2][2]  # D2' is the critical rows, not a sum
+    for m in (
+        original.d1, original.d2, original.d1._transposed, original.d2._transposed,
+        original.d1.transpose(), rc.reordered.d1, rc.reordered.d2, rc.L, block_s,
+    ):
+        assert m._index is not None and not words_built(m)
     assert words_built(block_t) and words_built(block_r)
+    assert words_built(res.reduced.d1) and words_built(res.reduced.d2)
