@@ -8,110 +8,32 @@ perturbation lemma. Every algebraic identity involved is re-checked at
 runtime.
 """
 
-from .complexes import (
-    BoundaryViolation,
-    FGChainComplex,
-    ReductionTriple,
-    TruncatedComplex,
-    betti,
-    verify_reduction,
+from . import (
+    complexes,
+    cubical,
+    gf2,
+    image,
+    perturbation,
+    pipeline,
+    reduction,
+    vectorfield,
+    verification,
 )
-from .cubical import CubicalComplex, boundary_matrices, build_cubical
-from .gf2 import (
-    Gf2Matrix,
-    NotNilpotent,
-    Permutation,
-    Singular,
-    format_matrix_text,
-    hstack,
-    parse_matrix_text,
-    vstack,
-)
-from .image import (
-    BinaryImage,
-    NetpbmError,
-    count_components,
-    load_image,
-    parse_pbm,
-    parse_pgm,
-    random_image,
-)
-from .perturbation import (
-    Decomposition,
-    DecompositionFailure,
-    NotInvertible,
-    Perturbation,
-    bpl,
-    decompose,
-    hexagonal_general,
-    vf_reduction_via_bpl,
-)
-from .pipeline import PipelineResult, reduce_pipeline, report_dict
-from .reduction import (
-    ReorderedComplex,
-    SplitComplex,
-    TriangularityViolation,
-    hexagonal_reduce,
-    reorder,
-)
-from .vectorfield import (
-    DiscreteVectorField,
-    check_admissible,
-    format_dvf,
-    rs_algorithm,
-    sort_by_lambda,
-)
-from .verification import CheckEntry, VerificationError, VerificationReport
+from .complexes import *
+from .cubical import *
+from .gf2 import *
+from .image import *
+from .perturbation import *
+from .pipeline import *
+from .reduction import *
+from .vectorfield import *
+from .verification import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BinaryImage",
-    "BoundaryViolation",
-    "CheckEntry",
-    "CubicalComplex",
-    "Decomposition",
-    "DecompositionFailure",
-    "DiscreteVectorField",
-    "FGChainComplex",
-    "Gf2Matrix",
-    "NetpbmError",
-    "NotInvertible",
-    "NotNilpotent",
-    "Permutation",
-    "Perturbation",
-    "PipelineResult",
-    "ReductionTriple",
-    "ReorderedComplex",
-    "SplitComplex",
-    "TriangularityViolation",
-    "TruncatedComplex",
-    "VerificationError",
-    "VerificationReport",
-    "betti",
-    "boundary_matrices",
-    "bpl",
-    "build_cubical",
-    "check_admissible",
-    "count_components",
-    "decompose",
-    "format_dvf",
-    "format_matrix_text",
-    "hexagonal_general",
-    "hexagonal_reduce",
-    "hstack",
-    "load_image",
-    "parse_matrix_text",
-    "parse_pbm",
-    "parse_pgm",
-    "random_image",
-    "reduce_pipeline",
-    "reorder",
-    "report_dict",
-    "rs_algorithm",
-    "sort_by_lambda",
-    "Singular",
-    "verify_reduction",
-    "vf_reduction_via_bpl",
-    "vstack",
-]
+# Each layer's __all__ declares its public names once; the package exports
+# them all.
+_LAYERS = (
+    complexes, cubical, gf2, image, perturbation, pipeline, reduction, vectorfield, verification
+)
+__all__ = [name for layer in _LAYERS for name in layer.__all__]

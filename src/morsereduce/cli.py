@@ -17,7 +17,6 @@ import json
 import os
 import sys
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 
 from .complexes import BoundaryViolation, betti
 from .cubical import boundary_matrices, build_cubical
@@ -50,14 +49,20 @@ _RESULT_CHECKS = {
 
 
 def _map_jobs(fn: Callable, jobs: list) -> list:
-    """fn of each job, in job order; in a process pool if MORSEREDUCE_THREADS > 1."""
+    """fn of each job, in job order; in a process pool if MORSEREDUCE_THREADS > 1.
+
+    The pool has at most one process per job. It is imported here, only
+    when used, since importing it costs more than the rest of the CLI.
+    """
     raw = os.environ.get("MORSEREDUCE_THREADS", "1")
     try:
         threads = int(raw)
     except ValueError:
         raise ValueError(f"MORSEREDUCE_THREADS must be an integer, got {raw!r}")
     if threads > 1 and jobs:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
             return list(pool.map(fn, jobs))
     return [fn(job) for job in jobs]
 

@@ -8,7 +8,9 @@ strictly below a threshold (default 128), with no maxval rescaling.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import islice
 
 __all__ = [
     "NetpbmError",
@@ -20,8 +22,11 @@ __all__ = [
     "random_image",
 ]
 
-_WHITESPACE = b" \t\r\n\x0b\x0c"
-_COMMENT = re.compile(rb"#[^\r\n]*")  # a '#' comment runs to the end of its line
+# Netpbm filler, between header fields and between plain samples or
+# pixels: whitespace, or a '#' comment to the end of its line. A match is
+# filler and then a field, the bytes up to the next filler; the field is
+# empty only at the end of the data.
+_FIELD = re.compile(rb"\s*(?:#[^\r\n]*\s*)*([^\s#]*)")
 _NOT_A_BIT = re.compile(rb"[^01]")
 
 
@@ -86,7 +91,7 @@ class BinaryImage:
         return b"\n".join(lines) + b"\n"
 
 
-def _from_digits(digits: bytearray) -> int:
+def _from_digits(digits: bytes) -> int:
     """The pixel word of row-major ASCII 0/1 digits, pixel 0 first.
 
     One base-2 conversion of the reversed digits, which is linear in the
@@ -95,91 +100,77 @@ def _from_digits(digits: bytearray) -> int:
     return int(digits[::-1] or b"0", 2)
 
 
-class _Scanner:
-    """Byte cursor over a Netpbm payload that understands '#' comments."""
-
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def _skip_filler(self) -> None:
-        data, n = self.data, len(self.data)
-        while self.pos < n:
-            b = data[self.pos]
-            if b in _WHITESPACE:
-                self.pos += 1
-            elif b == 0x23:  # '#' comment runs to end of line
-                while self.pos < n and data[self.pos] not in (0x0A, 0x0D):
-                    self.pos += 1
-            else:
-                return
-
-    def token(self) -> bytes:
-        self._skip_filler()
-        if self.pos >= len(self.data):
-            raise NetpbmError("unexpected end of header")
-        start = self.pos
-        data, n = self.data, len(self.data)
-        while self.pos < n and data[self.pos] not in _WHITESPACE and data[self.pos] != 0x23:
-            self.pos += 1
-        return data[start : self.pos]
-
-    def int_token(self, what: str) -> int:
-        tok = self.token()
-        if not tok.isdigit():
-            raise NetpbmError(f"bad {what}: {tok!r}")
-        return int(tok)
-
-    def start_raster(self) -> bytes:
-        # Binary rasters begin after exactly one whitespace byte.
-        if self.pos >= len(self.data) or self.data[self.pos] not in _WHITESPACE:
-            raise NetpbmError("missing whitespace before raster")
-        self.pos += 1
-        return self.data[self.pos :]
-
-    def plain_bits(self, count: int) -> bytes:
-        """The next count plain-PBM pixels as ASCII digits.
-
-        Each pixel is a bare 0 or 1, with no separator required; comments
-        and whitespace between them are dropped in bulk, and the first
-        count bytes left are the pixels. The first of them that is not 0
-        or 1 is named, before any shortage is.
-        """
-        rest = _COMMENT.sub(b"", self.data[self.pos :]).translate(None, _WHITESPACE)
-        pixels = rest[:count]
-        bad = _NOT_A_BIT.search(pixels)
-        if bad is not None:
-            raise NetpbmError(f"bad pixel byte {bad.group()!r}")
-        if len(pixels) < count:
-            raise NetpbmError("truncated pixel data")
-        return pixels
+def _field(fields: Iterator[re.Match]) -> re.Match:
+    """The next header field, which the data must have."""
+    field = next(fields)
+    if not field[1]:
+        raise NetpbmError("unexpected end of header")
+    return field
 
 
-def _read_size(s: _Scanner) -> tuple[int, int]:
-    width = s.int_token("width")
-    height = s.int_token("height")
+def _number(fields: Iterator[re.Match], what: str) -> tuple[int, int]:
+    """The next header field as a number, and the end of the field."""
+    field = _field(fields)
+    if not field[1].isdigit():
+        raise NetpbmError(f"bad {what}: {field[1]!r}")
+    return int(field[1]), field.end()
+
+
+def _read_size(fields: Iterator[re.Match]) -> tuple[int, int, int]:
+    """Width, height and the end of the height field."""
+    width, _ = _number(fields, "width")
+    height, end = _number(fields, "height")
     if width * height > 1 << 26:
         raise NetpbmError(f"image size {width}x{height} exceeds the supported limit")
-    return width, height
+    return width, height, end
+
+
+def _raster(data: bytes, end: int, size: int) -> bytes:
+    """The size bytes of a binary raster whose header ends at end."""
+    # Binary rasters begin after exactly one whitespace byte.
+    if not data[end : end + 1].isspace():
+        raise NetpbmError("missing whitespace before raster")
+    raster = data[end + 1 : end + 1 + size]
+    if len(raster) < size:
+        raise NetpbmError("truncated raster")
+    return raster
+
+
+def _plain_bits(rest: bytes, count: int) -> bytes:
+    """The first count plain-PBM pixels of rest, as ASCII digits.
+
+    Each pixel is a bare 0 or 1, with no separator required, so the pixels
+    are the fields of rest joined. Spaces and tabs never end a comment, so
+    cutting them first, in bulk, leaves the same pixels in fewer fields.
+    The first pixel that is not 0 or 1 is named, before any shortage is.
+    """
+    fields = _FIELD.finditer(rest.translate(None, b" \t\x0b\x0c"))
+    pixels = b"".join(field[1] for field in fields)[:count]
+    bad = _NOT_A_BIT.search(pixels)
+    if bad is not None:
+        raise NetpbmError(f"bad pixel byte {bad.group()!r}")
+    if len(pixels) < count:
+        raise NetpbmError("truncated pixel data")
+    return pixels
 
 
 def parse_pbm(data: bytes) -> BinaryImage:
     """Parse PBM (P1 plain or P4 raw); 1 bits are foreground."""
-    s = _Scanner(data)
-    magic = s.token()
-    width, height = _read_size(s)
-    digits = bytearray()
+    fields = _FIELD.finditer(data)
+    magic = _field(fields)[1]
+    width, height, end = _read_size(fields)
     if magic == b"P1":
-        digits += s.plain_bits(width * height)
+        digits = _plain_bits(data[end:], width * height)
     elif magic == b"P4":
-        raster = s.start_raster()
         stride = (width + 7) // 8
-        if len(raster) < stride * height:
-            raise NetpbmError("truncated raster")
-        spec = f"0{8 * stride}b"
-        for r in range(height):
-            row = int.from_bytes(raster[r * stride : (r + 1) * stride], "big")
-            digits += format(row, spec)[:width].encode()
+        raster = _raster(data, end, stride * height)
+        digits = bytearray()
+        if width * height:  # an image with no pixels does no per-row work
+            row_bits = 8 * stride
+            bits = format(int.from_bytes(raster, "big"), f"0{row_bits * height}b")
+            for i in range(0, len(bits), row_bits):
+                digits += bits[i : i + width].encode()  # the row without its pad bits
+            del bits  # freed before the digits are reversed: 67 MB at 2^26 pixels
     else:
         raise NetpbmError(f"not a PBM file: magic {magic!r}")
     return BinaryImage(width, height, _from_digits(digits))
@@ -187,33 +178,32 @@ def parse_pbm(data: bytes) -> BinaryImage:
 
 def parse_pgm(data: bytes, threshold: int = 128) -> BinaryImage:
     """Parse PGM (P2 plain or P5 raw); foreground iff sample < threshold."""
-    s = _Scanner(data)
-    magic = s.token()
+    fields = _FIELD.finditer(data)
+    magic = _field(fields)[1]
     if magic not in (b"P2", b"P5"):
         raise NetpbmError(f"not a PGM file: magic {magic!r}")
-    width, height = _read_size(s)
-    maxval = s.int_token("maxval")
+    width, height, _ = _read_size(fields)
+    maxval, end = _number(fields, "maxval")
     if not 0 < maxval < 65536:
         raise NetpbmError(f"maxval {maxval} out of range")
     count = width * height
-    digits = bytearray()
     if magic == b"P2":
-        for _ in range(count):
-            v = s.int_token("pixel")
+        digits = bytearray()
+        for field in islice(fields, count):  # streamed: no list of samples
+            sample = field[1]
+            if not sample.isdigit():
+                raise NetpbmError(f"bad pixel: {sample!r}" if sample else "truncated pixel data")
+            v = int(sample)
             if v > maxval:
                 raise NetpbmError(f"pixel {v} exceeds maxval {maxval}")
             digits.append(0x31 if v < threshold else 0x30)
+    elif maxval < 256:
+        raster = _raster(data, end, count)
+        digits = raster.translate(bytes(0x31 if v < threshold else 0x30 for v in range(256)))
     else:
-        raster = s.start_raster()
-        step = 1 if maxval < 256 else 2
-        if len(raster) < count * step:
-            raise NetpbmError("truncated raster")
-        for idx in range(count):
-            if step == 1:
-                v = raster[idx]
-            else:
-                v = (raster[2 * idx] << 8) | raster[2 * idx + 1]
-            digits.append(0x31 if v < threshold else 0x30)
+        raster = _raster(data, end, 2 * count)
+        pairs = zip(raster[::2], raster[1::2])  # big-endian samples
+        digits = bytes(0x31 if hi << 8 | lo < threshold else 0x30 for hi, lo in pairs)
     return BinaryImage(width, height, _from_digits(digits))
 
 

@@ -1,6 +1,12 @@
 """End-to-end tests for the command line interface."""
 
+import concurrent.futures
 import json
+import multiprocessing
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -292,6 +298,61 @@ def test_verify_random_batch_in_a_process_pool(capsys, monkeypatch):
     )
     assert code == 0
     assert out.splitlines() == [f"{name}: 2/2" for name in BATTERY]
+
+
+def test_the_pool_has_at_most_one_process_per_job(capsys, monkeypatch):
+    pools = []
+
+    class SerialPool:
+        """Records the pool size asked for and runs the jobs in this process."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setenv("MORSEREDUCE_THREADS", "64")
+    code, out, _ = run(capsys, ["verify", "--random", "2", "--size", "4", "4"])
+    assert code == 0
+    assert out.splitlines() == [f"{name}: 2/2" for name in BATTERY]
+    assert pools == [2]
+    assert multiprocessing.active_children() == []
+
+
+def _run_python(*args, timeout):
+    src = pathlib.Path(cli.__file__).resolve().parent.parent
+    paths = [str(src), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout
+    )
+
+
+def test_importing_the_cli_leaves_the_process_pool_unimported():
+    done = _run_python(
+        "-c", "import sys, morsereduce.cli; print('concurrent.futures.process' in sys.modules)",
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (0, "False\n")
+
+
+def test_an_image_with_no_columns_and_a_huge_height_is_read_at_once(tmp_path):
+    # 19 bytes: no pixels, so no row of the raster is visited.
+    path = tmp_path / "empty.pbm"
+    path.write_bytes(b"P4\n0 1000000000000\n")
+    done = _run_python("-m", "morsereduce", "homology", str(path), timeout=10)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert report["original"] == {"c0": 0, "c1": 0, "c2": 0}
+    assert report["betti_original"] == [0, 0, 0]
 
 
 def test_verify_rejects_ambiguous_input(tmp_path, capsys):

@@ -68,6 +68,7 @@ def test_parse_raw_pbm_pads_rows_to_bytes():
     )
     img = parse_pbm(b"P4\n10 2\n" + payload)
     assert img == BinaryImage(10, 2, rows[0] | (rows[1] << 10))
+    assert parse_pbm(b"P4\n0 4\n") == BinaryImage(0, 4, 0)  # no pixels: as P1 gives
 
 
 def test_parse_pbm_errors():
@@ -104,6 +105,12 @@ def test_parse_pgm_errors():
         parse_pgm(b"P2\n2 1\n255\n300 0\n")  # sample above maxval
     with pytest.raises(NetpbmError):
         parse_pgm(b"P5\n2 2\n255\n\x00")  # truncated
+    # Samples that run out are a shortage of pixels, as in P1, not a header fault.
+    for data in (b"P2\n2 1\n255\n7\n", b"P2\n2 1\n255\n7 # 8\n"):
+        with pytest.raises(NetpbmError, match=r"^truncated pixel data$"):
+            parse_pgm(data)
+    with pytest.raises(NetpbmError, match=r"^unexpected end of header$"):
+        parse_pgm(b"P2\n2 1\n")  # the maxval is missing
 
 
 def test_load_image_dispatches_on_magic(tmp_path):
