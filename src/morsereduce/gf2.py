@@ -100,13 +100,24 @@ class Gf2Matrix:
         if packed and (min(packed) < 0 or max(packed) >> cols):
             i = next(i for i, word in enumerate(packed) if word < 0 or word >> cols)
             raise ValueError(f"row {i} has bits outside {cols} columns")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "bits", packed)
-        object.__setattr__(self, "_record", None)
-        object.__setattr__(self, "_pin", None)
-        object.__setattr__(self, "_index", None)
-        object.__setattr__(self, "_transposed", None)
+        self._set_slots(rows, cols, packed, None)
+
+    def _set_slots(
+        self, rows: int, cols: int, bits: tuple[int, ...] | None, index: tuple | None
+    ) -> Gf2Matrix:
+        # The one slot initializer of every constructor. bits is None only
+        # for a matrix held as its index, and is then left unset (see
+        # __getattr__).
+        setattr_ = object.__setattr__
+        setattr_(self, "rows", rows)
+        setattr_(self, "cols", cols)
+        if bits is not None:
+            setattr_(self, "bits", bits)
+        setattr_(self, "_record", None)
+        setattr_(self, "_pin", None)
+        setattr_(self, "_index", index)
+        setattr_(self, "_transposed", None)
+        return self
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Gf2Matrix is immutable")
@@ -114,15 +125,7 @@ class Gf2Matrix:
     @classmethod
     def _raw(cls, rows: int, cols: int, bits: tuple[int, ...]) -> Gf2Matrix:
         # Internal constructor for values already known to be in range.
-        m = object.__new__(cls)
-        object.__setattr__(m, "rows", rows)
-        object.__setattr__(m, "cols", cols)
-        object.__setattr__(m, "bits", bits)
-        object.__setattr__(m, "_record", None)
-        object.__setattr__(m, "_pin", None)
-        object.__setattr__(m, "_index", None)
-        object.__setattr__(m, "_transposed", None)
-        return m
+        return object.__new__(cls)._set_slots(rows, cols, bits, None)
 
     @classmethod
     def _from_index(
@@ -145,14 +148,7 @@ class Gf2Matrix:
         in range, the right part of a column split shifted down by the
         split point.
         """
-        m = object.__new__(cls)
-        object.__setattr__(m, "rows", rows)
-        object.__setattr__(m, "cols", cols)
-        object.__setattr__(m, "_record", None)
-        object.__setattr__(m, "_pin", None)
-        object.__setattr__(m, "_index", tuple(map(tuple, index)))
-        object.__setattr__(m, "_transposed", None)
-        return m
+        return object.__new__(cls)._set_slots(rows, cols, None, tuple(map(tuple, index)))
 
     def __getattr__(self, name: str) -> tuple[int, ...]:
         # Python calls this only for a name it did not find, and every
@@ -215,26 +211,21 @@ class Gf2Matrix:
         return not any(self.bits if index is None else index)
 
     def is_identity(self) -> bool:
-        # The last and first rows reject most square non-identities at
-        # once. The full scan then asks that row i's highest set bit be
-        # bit i, so each row holds at least that bit, and that there be n
-        # set bits in all, so each row holds only that bit.
+        # The first and last rows reject most square non-identities at
+        # once. A unit lower triangular matrix holds each diagonal bit,
+        # so with n set bits in all it holds only those.
         n = self.rows
         if n != self.cols:
             return False
-        if n == 0:
-            return True
         index = self._index
-        if index is not None:  # row i is exactly (i,)
-            return all(map(eq, index, zip(range(n))))
-        bits = self.bits
-        return (
-            bits[-1].bit_count() == 1
-            and bits[-1].bit_length() == n
-            and bits[0] == 1
-            and all(map(eq, map(int.bit_length, bits), range(1, n + 1)))
-            and sum(map(int.bit_count, bits)) == n
-        )
+        if index is None:
+            bits = self.bits
+            if n and (bits[0] != 1 or bits[-1] != 1 << (n - 1)):
+                return False
+            count = sum(map(int.bit_count, bits))
+        else:
+            count = sum(map(len, index))
+        return count == n and self.is_lower_unitriangular()
 
     def is_lower_unitriangular(self) -> bool:
         """True iff square with 1s on the diagonal and 0s strictly above it."""
@@ -269,16 +260,19 @@ class Gf2Matrix:
         return f"<Gf2Matrix {self.rows}x{self.cols}>"
 
     def __str__(self) -> str:
-        return "\n".join(
-            " ".join(str((word >> j) & 1) for j in range(self.cols))
-            for word in self.bits
-        )
+        return "\n".join(" ".join(map(str, row)) for row in self.to_rows())
 
     def __add__(self, other: Gf2Matrix) -> Gf2Matrix:
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError(
                 f"shape mismatch for sum: {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
             )
+        # A zero term leaves the other as it is, shared and not copied, so
+        # that a term held as its index builds no words for the sum.
+        if other.is_zero():
+            return self
+        if self.is_zero():
+            return other
         return Gf2Matrix._raw(
             self.rows, self.cols, tuple(a ^ b for a, b in zip(self.bits, other.bits))
         )
@@ -326,8 +320,8 @@ class Gf2Matrix:
     def _pinned_product(self, pin: _Pin, other: Gf2Matrix) -> tuple[int, ...] | None:
         """The row words of self·other through self's pin, or None for the row loop.
 
-        The pin is checked once, on the first call; if it fails or does
-        not pay (see _Pin.holds), it is dropped and None is returned.
+        The pin is checked once, on the first call; if it fails (see
+        _Pin.holds), it is dropped and None is returned.
         """
         if not pin.checked:
             if not pin.holds(self):
@@ -417,31 +411,15 @@ class Gf2Matrix:
         at most 2 columns each is the incidence matrix of a graph, and its
         rank is counted as a spanning forest (_forest_rank) with no words.
         In the pipeline these are D1, through D1ᵀ, and D2 and the critical
-        rows of D2 themselves. Any other matrix is reduced by the pivot
-        dictionary, as in inverse and right_kernel_basis: each row is
-        XORed against the pivot stored for its current key bit until it
-        is zero or claims a free key. Rank needs no canonical form, so the
-        key is the leading bit (bit_length is O(1) on ints) and the cost
-        is pure row XORs.
+        rows of D2 themselves. Any other matrix is reduced by the
+        elimination that inverse and right_kernel_basis also use (see
+        _rref), and its rank is the number of pivots.
         """
         for graph in (self, self._transposed):
             index = None if graph is None else graph._index
             if index is not None and max(map(len, index), default=0) <= 2:
                 return _forest_rank(index, graph.cols)
-        pivots: dict[int, int] = {}
-        limit = min(self.rows, self.cols)
-        for word in self.bits:
-            w = word
-            while w:
-                lead = w.bit_length()
-                p = pivots.get(lead)
-                if p is None:
-                    pivots[lead] = w
-                    if len(pivots) == limit:
-                        return limit
-                    break
-                w ^= p
-        return len(pivots)
+        return len(_rref(self.bits, self.cols)[0])
 
     def inverse(self) -> Gf2Matrix:
         """Two-sided inverse; raises Singular, naming a dependent row, if none exists.
@@ -670,9 +648,6 @@ class _Pin:
     neither is kept. Then m B for h is [L^-1 (B's rows offset..); 0]
     and m X for g is [L^-1 (T X); 0; X], both by forward substitution
     in nnz(L) row XORs where the row loop costs nnz(U) or nnz(lift).
-    The check and the solves pay only when U or the lift holds more set
-    bits than L and T together, so holds() is False for one that does
-    not, and mul keeps its row loop.
     """
 
     __slots__ = ("lower", "rhs", "offset", "checked")
@@ -687,14 +662,7 @@ class _Pin:
         lower, rhs = self.lower, self.rhs
         a = lower.rows
         top, rest = m.bits[:a], m.bits[a:]
-        fill = sum(map(int.bit_count, lower.bits))
-        if rhs is not None:
-            fill += sum(map(int.bit_count, rhs.bits))
-        if (
-            not lower.is_lower_unitriangular()
-            or len(top) < a
-            or sum(map(int.bit_count, top)) <= fill
-        ):
+        if not lower.is_lower_unitriangular() or len(top) < a:
             return False
         if rhs is None:
             offset = self.offset
@@ -706,9 +674,7 @@ class _Pin:
         else:
             c = m.cols
             b = m.rows - a - c
-            if (rhs.rows, rhs.cols) != (a, c) or b < 0 or any(rest[:b]):
-                return False
-            if rest[b:] != tuple(_unit_words(c)):
+            if (rhs.rows, rhs.cols) != (a, c) or b < 0 or rest != (0,) * b + tuple(_unit_words(c)):
                 return False
             band, target = top, rhs.bits
         return all(map(eq, _row_products(lower, band), target))
@@ -901,24 +867,16 @@ class Permutation:
     image: tuple[int, ...]
 
     def __post_init__(self):
+        # A ValueError names the first position that keeps image from
+        # being a permutation, its value and why.
         n = len(self.image)
-        seen = [False] * n
-        for v in self.image:
-            if not isinstance(v, int) or not 0 <= v < n or seen[v]:
-                self._raise_first_fault()
-            seen[v] = True
-
-    def _raise_first_fault(self) -> None:
-        """Raise a ValueError naming the first position that keeps image
-        from being a permutation, its value and why."""
-        n = len(self.image)
-        first: dict[int, int] = {}  # the position that first sent each value
+        first = [-1] * n  # the position that first sent each value
         for i, v in enumerate(self.image):
             if not isinstance(v, int):
                 why = "not an int"
             elif not 0 <= v < n:
                 why = "out of range"
-            elif v in first:
+            elif first[v] >= 0:
                 why = f"repeated from position {first[v]}"
             else:
                 first[v] = i
@@ -1003,7 +961,5 @@ def parse_matrix_text(text: str) -> Gf2Matrix:
 
 def format_matrix_text(m: Gf2Matrix) -> str:
     """Render a matrix in the dense text format accepted by parse_matrix_text."""
-    lines = [f"{m.rows} {m.cols}"]
-    for word in m.bits:
-        lines.append(" ".join(str((word >> j) & 1) for j in range(m.cols)))
-    return "\n".join(lines) + "\n"
+    header = f"{m.rows} {m.cols}\n"
+    return header + str(m) + "\n" if m.rows else header

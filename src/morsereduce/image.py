@@ -8,7 +8,8 @@ strictly below a threshold (default 128), with no maxval rescaling.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterator
+import sys
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import islice
 
@@ -69,14 +70,11 @@ class BinaryImage:
 
     def foreground(self) -> list[tuple[int, int]]:
         """Foreground pixel coordinates in row-major order."""
-        out = []
-        bits = self.bits
-        while bits:  # peel from the top, so each step shortens the word
-            idx = bits.bit_length() - 1
-            out.append(divmod(idx, self.width))
-            bits ^= 1 << idx
-        out.reverse()
-        return out
+        # One base-2 conversion, pixel 0 first, as in to_pbm; peeling the
+        # bits off the word one at a time would be quadratic.
+        w = self.width
+        pixels = format(self.bits, f"0{w * self.height}b")[::-1]
+        return [divmod(one.start(), w) for one in re.finditer("1", pixels)]
 
     def count_foreground(self) -> int:
         return self.bits.bit_count()
@@ -108,12 +106,20 @@ def _field(fields: Iterator[re.Match]) -> re.Match:
     return field
 
 
+def _decimal(digits: bytes, what: str) -> int:
+    """A field of ASCII digits as a number; one too long to convert is named, not printed."""
+    try:
+        return int(digits)
+    except ValueError:  # more digits than the interpreter's limit, 4300 by default
+        raise NetpbmError(f"{what} too long: {len(digits)} digits") from None
+
+
 def _number(fields: Iterator[re.Match], what: str) -> tuple[int, int]:
     """The next header field as a number, and the end of the field."""
     field = _field(fields)
     if not field[1].isdigit():
         raise NetpbmError(f"bad {what}: {field[1]!r}")
-    return int(field[1]), field.end()
+    return _decimal(field[1], what), field.end()
 
 
 def _read_size(fields: Iterator[re.Match]) -> tuple[int, int, int]:
@@ -193,18 +199,31 @@ def parse_pgm(data: bytes, threshold: int = 128) -> BinaryImage:
             sample = field[1]
             if not sample.isdigit():
                 raise NetpbmError(f"bad pixel: {sample!r}" if sample else "truncated pixel data")
-            v = int(sample)
+            v = _decimal(sample, "pixel")
             if v > maxval:
                 raise NetpbmError(f"pixel {v} exceeds maxval {maxval}")
             digits.append(0x31 if v < threshold else 0x30)
     elif maxval < 256:
         raster = _raster(data, end, count)
+        _within_maxval(raster, maxval)
         digits = raster.translate(bytes(0x31 if v < threshold else 0x30 for v in range(256)))
     else:
+        from array import array  # a shared library, loaded only for the files that need it
+
         raster = _raster(data, end, 2 * count)
-        pairs = zip(raster[::2], raster[1::2])  # big-endian samples
-        digits = bytes(0x31 if hi << 8 | lo < threshold else 0x30 for hi, lo in pairs)
+        samples = array("H", raster)  # two bytes a sample
+        if sys.byteorder == "little":  # the raster is big-endian
+            samples.byteswap()
+        _within_maxval(samples, maxval)
+        digits = bytes(0x31 if v < threshold else 0x30 for v in samples)
     return BinaryImage(width, height, _from_digits(digits))
+
+
+def _within_maxval(samples: Sequence[int], maxval: int) -> None:
+    """Name the first raw sample above maxval, as P2 names a plain one."""
+    if max(samples, default=0) > maxval:  # at C speed, for every sample at once
+        v = next(v for v in samples if v > maxval)
+        raise NetpbmError(f"pixel {v} exceeds maxval {maxval}")
 
 
 def load_image(path: str, threshold: int = 128) -> BinaryImage:

@@ -56,47 +56,37 @@ class Perturbation:
     __slots__ = ("base", "perturbed", "_delta")
 
     def __init__(self, base: FGChainComplex, delta: Mapping[int, Gf2Matrix]):
-        d_new = self._store(base, delta)
-        dims = {k: base.dim(k) for k in base.degrees()}
-        # FGChainComplex construction rejects the perturbation unless
-        # (d + delta) . (d + delta) = 0.
-        self.perturbed = FGChainComplex(base.lo, base.hi, dims, d_new)
-
-    @classmethod
-    def _onto(
-        cls, base: FGChainComplex, delta: Mapping[int, Gf2Matrix], target: FGChainComplex
-    ) -> Perturbation:
-        """The perturbation of base by delta that is known to give target.
-
-        d + delta is compared with target's differential by == in every
-        degree, and target, a complex whose d . d = 0 was checked when it
-        was built, becomes the perturbed complex. Raises ValueError if
-        they differ.
-        """
-        p = cls.__new__(cls)
-        d_new = p._store(base, delta)
-        if (target.lo, target.hi) != (base.lo, base.hi) or not all(
-            target.dim(k) == base.dim(k) for k in base.degrees()
-        ) or not all(target.d(k) == m for k, m in d_new.items()):
-            raise ValueError("perturbed differential differs from the target complex")
-        p.perturbed = target
-        return p
-
-    def _store(
-        self, base: FGChainComplex, delta: Mapping[int, Gf2Matrix]
-    ) -> dict[int, Gf2Matrix]:
-        # Validate and keep the nonzero changes; return d + delta by degree.
         self.base = base
-        self._delta: dict[int, Gf2Matrix] = {}
         for k, m in delta.items():
             want = base.d(k)
             if (m.rows, m.cols) != (want.rows, want.cols):
                 raise ValueError(
                     f"delta({k}) is {m.rows}x{m.cols}, expected {want.rows}x{want.cols}"
                 )
-            if not m.is_zero():
-                self._delta[k] = m
-        return {k: base.d(k) + self.delta(k) for k in range(base.lo + 1, base.hi + 1)}
+        self._delta: dict[int, Gf2Matrix] = dict(delta)
+        dims = {k: base.dim(k) for k in base.degrees()}
+        d_new = {k: base.d(k) + self.delta(k) for k in range(base.lo + 1, base.hi + 1)}
+        # FGChainComplex construction rejects the perturbation unless
+        # (d + delta) . (d + delta) = 0.
+        self.perturbed = FGChainComplex(base.lo, base.hi, dims, d_new)
+
+    @classmethod
+    def _between(cls, base: FGChainComplex, target: FGChainComplex) -> Perturbation:
+        """The perturbation of base that gives target: delta(k) = base.d(k) + target.d(k).
+
+        target, a complex whose d . d = 0 was checked when it was built,
+        becomes the perturbed complex. Raises ValueError unless the two
+        have the same window and modules.
+        """
+        if (target.lo, target.hi) != (base.lo, base.hi) or not all(
+            target.dim(k) == base.dim(k) for k in base.degrees()
+        ):
+            raise ValueError("perturbed differential differs from the target complex")
+        p = cls.__new__(cls)
+        p.base = base
+        p._delta = {k: base.d(k) + target.d(k) for k in range(base.lo + 1, base.hi + 1)}
+        p.perturbed = target
+        return p
 
     def delta(self, k: int) -> Gf2Matrix:
         stored = self._delta.get(k)
@@ -263,15 +253,11 @@ def bpl(
     dec = decompose(r)
     lo, hi = big.lo, big.hi
 
-    # decompose covers every degree of the window; outside it the
-    # modules are zero and the change of basis is the empty identity.
-    def phi(k: int) -> Gf2Matrix:
-        m = dec.phi.get(k)
-        return Gf2Matrix.identity(big.dim(k)) if m is None else m
-
-    def phi_inv(k: int) -> Gf2Matrix:
-        m = dec.phi_inv.get(k)
-        return Gf2Matrix.identity(big.dim(k)) if m is None else m
+    # decompose covers every degree of the window; above it the module
+    # is zero and the change of basis is the empty identity.
+    above = {hi + 1: Gf2Matrix.identity(0)}
+    phi = {**dec.phi, **above}.__getitem__
+    phi_inv = {**dec.phi_inv, **above}.__getitem__
 
     dims = {k: big.dim(k) for k in big.degrees()}
     d_pert = {
@@ -348,5 +334,4 @@ def vf_reduction_via_bpl(rc: ReorderedComplex, *, verify: bool = True) -> Reduct
     base = FGChainComplex._known_valid(0, 2, {0: c0, 1: c1, 2: c2}, {1: toy})
     split = SplitComplex(base, {k: rc.split.split(k) for k in base.degrees()})
     trivial = _eliminate(split, {1: Gf2Matrix.identity(nv)})
-    delta = {1: rc.reordered.d1 + toy, 2: rc.reordered.d2}
-    return bpl(trivial, Perturbation._onto(base, delta, rc.reordered), nv + 1, verify=verify)
+    return bpl(trivial, Perturbation._between(base, rc.reordered), nv + 1, verify=verify)

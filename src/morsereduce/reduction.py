@@ -152,10 +152,8 @@ def _eliminate(sc: SplitComplex, u: Mapping[int, Gf2Matrix]) -> ReductionTriple:
     for k in range(lo + 1, hi + 1):
         blocks = sc.blocks(k)
         d31_u[k] = blocks[2][0].mul(u.get(k, empty))
-        bridge = d31_u[k].mul(blocks[1][2])
-        # A zero bridge, as where no A part lies below, leaves d33 as it
-        # is, so a d33 held as its index builds no words for the sum.
-        d_small[k] = blocks[2][2] if bridge.is_zero() else blocks[2][2] + bridge
+        # A zero bridge, as where no A part lies below, leaves d33 as it is.
+        d_small[k] = blocks[2][2] + d31_u[k].mul(blocks[1][2])
     if (lo, hi) == (0, 2):  # keep the c0..c2, d1, d2 view that callers read
         small = TruncatedComplex(d_small[1], d_small[2])
     else:

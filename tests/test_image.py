@@ -113,6 +113,19 @@ def test_parse_pgm_errors():
         parse_pgm(b"P2\n2 1\n")  # the maxval is missing
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"P5 1 1 15\n\xff", "pixel 255 exceeds maxval 15"),
+        (b"P5 3 1 200\n\x00\xc9\xff", "pixel 201 exceeds maxval 200"),  # the first, not the largest
+        (b"P5 2 1 1000\n\x03\xe8\x03\xe9", "pixel 1001 exceeds maxval 1000"),
+    ],
+)
+def test_raw_samples_above_maxval_are_refused_as_plain_ones_are(data, message):
+    with pytest.raises(NetpbmError, match=f"^{message}$"):
+        parse_pgm(data, threshold=300)
+
+
 def test_load_image_dispatches_on_magic(tmp_path):
     pbm = tmp_path / "x.pbm"
     pbm.write_bytes(b"P1\n1 1\n1\n")
@@ -129,6 +142,16 @@ def test_load_image_dispatches_on_magic(tmp_path):
 def test_to_pbm_round_trip():
     img = random_image(9, 5, 0.4, 123)
     assert parse_pbm(img.to_pbm()) == img
+
+
+@pytest.mark.parametrize(
+    "width, height, density, seed",
+    [(11, 6, 0.5, 1), (70, 3, 0.35, 2), (1, 40, 0.6, 3), (0, 7, 0.5, 4), (7, 0, 0.5, 5), (9, 9, 1.0, 6)],
+)
+def test_foreground_lists_the_oracle_pixels_in_row_major_order(width, height, density, seed):
+    img = random_image(width, height, density, seed)
+    stream = oracle.splitmix64_pixels(width, height, density, seed)
+    assert img.foreground() == [divmod(i, width) for i, v in enumerate(stream) if v]
 
 
 def test_count_components_frozen_cases():

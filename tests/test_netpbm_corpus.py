@@ -37,6 +37,7 @@ HAND_WRITTEN = [
     b"P1 9000 9000\n",  # over the 2^26-pixel limit
     b"P1 8192 8192\n",  # at the limit: the pixels run out
     b"P1 0 99999999999999\n",  # no pixels, nothing read
+    b"P1 " + b"1" * 5000 + b" 1",  # more digits than int() reads by default
     b"P7 1 1\n0\n",  # PBM reads the size before it rejects the magic
     b"P7 x\n",
     b"P1x 1 1 1",
@@ -76,6 +77,7 @@ HAND_WRITTEN = [
     b"P5 2 1\n0\n\x00\x00",
     b"P5 2 1 65536 \x00\x00\x00\x00",
     b"P2 2 1 1e3 0 0",
+    b"P2 1 " + b"1" * 5000 + b" 255 0",
     # P2 samples.
     b"P2\n2 1\n255\n300 0\n",
     b"P2 2 1 255 7",
@@ -89,6 +91,7 @@ HAND_WRITTEN = [
     b"P2 3 0 255 junk",
     b"P2 1 1 255 0255",
     b"P2 1 1 65535 65535",
+    b"P2 1 1 255 " + b"1" * 5000,
     # P5 rasters.
     b"P5 2 2\n255\n\x00",
     b"P5 2 1 255",

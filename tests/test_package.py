@@ -1,7 +1,10 @@
 """Tests of the package's public surface: the names each __all__ promises."""
 
+import ast
 import importlib
+import pathlib
 import pkgutil
+import sys
 
 import pytest
 
@@ -25,3 +28,22 @@ def test_star_import_binds_exactly_the_package_all():
     exec("from morsereduce import *", namespace)
     del namespace["__builtins__"]
     assert sorted(namespace) == sorted(morsereduce.__all__)
+
+
+def test_every_import_is_relative_or_from_the_standard_library():
+    # The package runs on the interpreter alone: no runtime dependency.
+    outside = []
+    for path in sorted(pathlib.Path(morsereduce.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            outside += [
+                (path.name, name)
+                for name in names
+                if name.partition(".")[0] not in sys.stdlib_module_names
+            ]
+    assert outside == []

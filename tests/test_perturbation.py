@@ -68,12 +68,18 @@ def test_public_constructors_check_that_the_differential_squares_to_zero():
 
 def test_the_route_perturbation_must_land_on_its_target():
     base = image_complex(5, 5, 0.6, 7)
-    assert Perturbation._onto(base, {}, base).perturbed is base
+    same = Perturbation._between(base, base)
+    assert same.perturbed is base
+    assert all(same.delta(k).is_zero() for k in base.degrees())
     flat = FGChainComplex(0, 2, {k: base.dim(k) for k in base.degrees()})
     assert flat != base  # same modules, zero differential
-    for target in (image_complex(5, 5, 0.6, 8), flat):
-        with pytest.raises(ValueError, match="differs from the target"):
-            Perturbation._onto(base, {}, target)
+    onto_flat = Perturbation._between(base, flat)
+    assert onto_flat.perturbed is flat
+    assert all(onto_flat.delta(k) == base.d(k) for k in base.degrees())
+    other = image_complex(5, 5, 0.6, 8)
+    assert [other.dim(k) for k in other.degrees()] != [base.dim(k) for k in base.degrees()]
+    with pytest.raises(ValueError, match="differs from the target"):
+        Perturbation._between(base, other)
 
 
 def test_perturbation_rejects_wrong_shapes():
@@ -130,6 +136,27 @@ def test_hexagonal_general_needs_matching_pivot_inverses():
     pivot = dec.transformed.blocks(1)[1][0]
     with pytest.raises(NotInvertible):
         hexagonal_general(dec.transformed, {1: Gf2Matrix.zeros(pivot.cols, pivot.rows)})
+
+
+def test_hexagonal_general_reduces_a_window_other_than_zero_to_two():
+    # Degrees 1..3, split (A, B, C) as (0, 1, 2), (1, 0, 2) and (0, 0, 1).
+    # d(2) has rows B1 C1 C1 and columns A2 C2 C2: d21 = [1], d23 = [1 1],
+    # d31 = [1; 1] and d33 = [1 1; 0 0]. d(3) = [0; 1; 1] is zero in its
+    # A row, and d(2) d(3) = 0.
+    d2 = Gf2Matrix.from_rows([[1, 1, 1], [1, 1, 1], [1, 0, 0]])
+    d3 = Gf2Matrix.from_rows([[0], [1], [1]])
+    cx = FGChainComplex(1, 3, {1: 3, 2: 3, 3: 1}, {2: d2, 3: d3})
+    sc = SplitComplex(cx, {1: (0, 1, 2), 2: (1, 0, 2), 3: (0, 0, 1)})
+    triple = hexagonal_general(sc, {2: Gf2Matrix.identity(1)})
+    assert verify_reduction(triple).ok
+    small = triple.small
+    assert type(small) is FGChainComplex
+    assert (small.lo, small.hi) == (1, 3)
+    assert [small.dim(k) for k in small.degrees()] == [2, 2, 1]
+    # d33 + d31 u d23 = [1 1; 0 0] + [1; 1] [1] [1 1] in degree 2, and the
+    # C rows of d(3) in degree 3, where no A part lies below.
+    assert small.d(2) == Gf2Matrix.from_rows([[0, 0], [1, 1]])
+    assert small.d(3) == Gf2Matrix.from_rows([[1], [1]])
 
 
 def test_bpl_with_zero_perturbation_reproduces_the_reduction():
