@@ -411,22 +411,23 @@ class Gf2Matrix:
         at most 2 columns each is the incidence matrix of a graph, and its
         rank is counted as a spanning forest (_forest_rank) with no words.
         In the pipeline these are D1, through D1ᵀ, and D2 and the critical
-        rows of D2 themselves. Any other matrix is reduced by the
+        rows of D2 themselves. Any other matrix takes the forward
         elimination that inverse and right_kernel_basis also use (see
-        _rref), and its rank is the number of pivots.
+        _echelon), and its rank is the number of pivots.
         """
         for graph in (self, self._transposed):
             index = None if graph is None else graph._index
             if index is not None and max(map(len, index), default=0) <= 2:
                 return _forest_rank(index, graph.cols)
-        return len(_rref(self.bits, self.cols)[0])
+        return len(_echelon(self.bits, self.cols)[0])
 
     def inverse(self) -> Gf2Matrix:
         """Two-sided inverse; raises Singular, naming a dependent row, if none exists.
 
         Gauss-Jordan on [self | I] by the pivot-dictionary elimination that
-        rank and right_kernel_basis also use (see _rref), so the cost
-        follows the fill of the rows rather than rows x cols.
+        rank and right_kernel_basis also use (see _echelon), then
+        _back_substitute, so the cost follows the fill of the rows rather
+        than rows x cols.
         """
         if self.rows != self.cols:
             raise ValueError(f"inverse needs a square matrix, got {self.rows}x{self.cols}")
@@ -434,13 +435,14 @@ class Gf2Matrix:
             return self
         n = self.rows
         # Augment each row with the matching identity row in the high bits.
-        pivots, dependent = _rref(
+        pivots, dependent = _echelon(
             (word | (1 << (n + i)) for i, word in enumerate(self.bits)), n
         )
         if dependent >= 0:
             raise Singular(
                 f"{n}x{n} matrix is singular: row {dependent} is a sum of earlier rows"
             )
+        _back_substitute(pivots)
         return Gf2Matrix._raw(n, n, tuple(pivots[c] >> n for c in range(n)))
 
     def inv_unit_lower_triangular(self) -> Gf2Matrix:
@@ -488,15 +490,15 @@ class Gf2Matrix:
         """A cols x k matrix whose columns span {v : self·v = 0}, k = cols - rank.
 
         The basis is the canonical one read off the reduced row-echelon
-        form, computed by the pivot-dictionary elimination that rank and
-        inverse also use (see _rref). Pivot columns are the rows' lowest
-        set bits; there is one basis column per free column, in increasing
-        order, with a 1 in that free column and the RREF entries in the
-        pivot columns. The cost follows the fill of the rows, not
-        rows x cols.
+        form, computed by the pivot-dictionary elimination that inverse
+        also uses (_echelon, then _back_substitute). Pivot columns are the
+        rows' lowest set bits; there is one basis column per free column,
+        in increasing order, with a 1 in that free column and the RREF
+        entries in the pivot columns. The cost follows the fill of the
+        rows, not rows x cols.
         """
         nc = self.cols
-        pivots, _ = _rref(self.bits, nc)
+        pivots = _back_substitute(_echelon(self.bits, nc)[0])
         free = [c for c in range(nc) if c not in pivots]
         flag = {c: 1 << idx for idx, c in enumerate(free)}
         out = [flag.get(c, 0) for c in range(nc)]
@@ -818,20 +820,16 @@ def _set_bits(word: int) -> list[int]:
     return out
 
 
-def _rref(words: Iterable[int], width: int) -> tuple[dict[int, int], int]:
-    """Reduced row-echelon form of bit-packed rows, pivoting in columns below width.
+def _echelon(words: Iterable[int], width: int) -> tuple[dict[int, int], int]:
+    """Forward elimination of bit-packed rows, pivoting in columns below width.
 
-    Returns ``(pivots, dependent)``. ``pivots`` maps each pivot column to
-    its RREF row; a row's pivot column is its lowest set bit, and the row
-    is zero in every other pivot column. ``dependent`` is the index of the
-    first row whose low ``width`` bits are a sum of earlier rows', or -1.
-
-    Each row is XORed against the pivot stored for its lowest set bit
-    until that bit is free, and the row joins the dictionary, or the row
-    is dependent: it is zero or its lowest set bit is at or above
-    ``width``. A back-substitution pass, from the highest pivot column
-    down, then clears the other pivot columns. Both passes visit set bits
-    only, so the cost follows the fill.
+    Returns ``(pivots, dependent)``: ``pivots`` maps each pivot column to
+    an echelon row whose lowest set bit it is, and ``dependent`` is the
+    index of the first row whose low ``width`` bits are a sum of earlier
+    rows', or -1. Each row is XORed against the pivot stored for its
+    lowest set bit until that bit is free, and joins the dictionary unless
+    it is zero or its lowest set bit is at or above ``width``. Only set
+    bits are visited, so the cost follows the fill.
     """
     pivots: dict[int, int] = {}
     dependent = -1
@@ -846,6 +844,15 @@ def _rref(words: Iterable[int], width: int) -> tuple[dict[int, int], int]:
             pivots[col] = w
         elif dependent < 0:
             dependent = i
+    return pivots, dependent
+
+
+def _back_substitute(pivots: dict[int, int]) -> dict[int, int]:
+    """Clear _echelon's pivot rows in every pivot column but their own, in place.
+
+    The rows are taken from the highest pivot column down, visiting set
+    bits only; the result is the reduced row-echelon form.
+    """
     mask = 0
     for col in pivots:
         mask |= 1 << col
@@ -857,7 +864,7 @@ def _rref(words: Iterable[int], width: int) -> tuple[dict[int, int], int]:
             w ^= pivots[j]
             above ^= 1 << j
         pivots[col] = w
-    return pivots, dependent
+    return pivots
 
 
 @dataclass(frozen=True)
@@ -924,11 +931,17 @@ def vstack(top: Gf2Matrix, bottom: Gf2Matrix) -> Gf2Matrix:
     return Gf2Matrix._raw(top.rows + bottom.rows, top.cols, top.bits + bottom.bits)
 
 
+# The largest dimension a matrix text may declare: with the other dimension
+# 0 it needs no entries, yet parsing makes one list per row or column.
+_TEXT_DIM_LIMIT = 1 << 20
+
+
 def parse_matrix_text(text: str) -> Gf2Matrix:
     """Parse the dense text format: a "rows cols" line, then one 0/1 token per entry.
 
     An empty dimension means there are no data lines. Raises ValueError on
-    malformed headers, non-binary tokens, or a token count mismatch.
+    malformed headers, dimensions outside 0.._TEXT_DIM_LIMIT, non-binary
+    tokens, or a token count mismatch.
     """
     tokens = text.split()
     if len(tokens) < 2:
@@ -937,8 +950,8 @@ def parse_matrix_text(text: str) -> Gf2Matrix:
         rows, cols = int(tokens[0]), int(tokens[1])
     except ValueError:
         raise ValueError(f"bad matrix header: {tokens[0]!r} {tokens[1]!r}") from None
-    if rows < 0 or cols < 0:
-        raise ValueError(f"negative dimension in header: {rows} {cols}")
+    if not (0 <= rows <= _TEXT_DIM_LIMIT and 0 <= cols <= _TEXT_DIM_LIMIT):
+        raise ValueError(f"header {rows} {cols}: each dimension must be 0 to {_TEXT_DIM_LIMIT}")
     del tokens[:2]  # the entries are left
     if len(tokens) != rows * cols:
         raise ValueError(f"expected {rows * cols} entries, got {len(tokens)}")

@@ -29,7 +29,6 @@ from .verification import VerificationError
 __all__ = [
     "DecompositionFailure",
     "NotInvertible",
-    "Perturbation",
     "Decomposition",
     "decompose",
     "hexagonal_general",
@@ -44,55 +43,6 @@ class DecompositionFailure(Exception):
 
 class NotInvertible(Exception):
     """A block required to be a two-sided isomorphism is not."""
-
-
-class Perturbation:
-    """A degreewise change delta to the differential with (d + delta)^2 = 0.
-
-    Missing degrees mean a zero change. Construction validates shapes and
-    that the perturbed differential still squares to zero.
-    """
-
-    __slots__ = ("base", "perturbed", "_delta")
-
-    def __init__(self, base: FGChainComplex, delta: Mapping[int, Gf2Matrix]):
-        self.base = base
-        for k, m in delta.items():
-            want = base.d(k)
-            if (m.rows, m.cols) != (want.rows, want.cols):
-                raise ValueError(
-                    f"delta({k}) is {m.rows}x{m.cols}, expected {want.rows}x{want.cols}"
-                )
-        self._delta: dict[int, Gf2Matrix] = dict(delta)
-        dims = {k: base.dim(k) for k in base.degrees()}
-        d_new = {k: base.d(k) + self.delta(k) for k in range(base.lo + 1, base.hi + 1)}
-        # FGChainComplex construction rejects the perturbation unless
-        # (d + delta) . (d + delta) = 0.
-        self.perturbed = FGChainComplex(base.lo, base.hi, dims, d_new)
-
-    @classmethod
-    def _between(cls, base: FGChainComplex, target: FGChainComplex) -> Perturbation:
-        """The perturbation of base that gives target: delta(k) = base.d(k) + target.d(k).
-
-        target, a complex whose d . d = 0 was checked when it was built,
-        becomes the perturbed complex. Raises ValueError unless the two
-        have the same window and modules.
-        """
-        if (target.lo, target.hi) != (base.lo, base.hi) or not all(
-            target.dim(k) == base.dim(k) for k in base.degrees()
-        ):
-            raise ValueError("perturbed differential differs from the target complex")
-        p = cls.__new__(cls)
-        p.base = base
-        p._delta = {k: base.d(k) + target.d(k) for k in range(base.lo + 1, base.hi + 1)}
-        p.perturbed = target
-        return p
-
-    def delta(self, k: int) -> Gf2Matrix:
-        stored = self._delta.get(k)
-        if stored is not None:
-            return stored
-        return Gf2Matrix.zeros(self.base.dim(k - 1), self.base.dim(k))
 
 
 @dataclass(frozen=True)
@@ -134,13 +84,11 @@ def decompose(r: ReductionTriple) -> Decomposition:
             raise DecompositionFailure(
                 f"degree {k}: parts span {total} of {big.dim(k)} dimensions"
             )
-        phi_k = hstack(hstack(a_basis, b_basis), g_k)
+        phi[k] = hstack(hstack(a_basis, b_basis), g_k)
         try:
-            phi_inv_k = phi_k.inverse()
+            phi_inv[k] = phi[k].inverse()
         except Singular as exc:
             raise DecompositionFailure(f"degree {k}: parts are not independent") from exc
-        phi[k] = phi_k
-        phi_inv[k] = phi_inv_k
         splits[k] = (a_basis.cols, b_basis.cols, g_k.cols)
 
     dims = {k: big.dim(k) for k in big.degrees()}
@@ -219,16 +167,19 @@ def hexagonal_general(
 
 
 def bpl(
-    r: ReductionTriple, p: Perturbation, m: int, *, verify: bool = True
+    r: ReductionTriple, target: FGChainComplex, m: int, *, verify: bool = True
 ) -> ReductionTriple:
     """Carry a reduction across a perturbation of its big differential.
 
-    Requires p.base to equal r.big and pow(delta(k) h(k-1), m) = 0 in every
-    degree (checked; NotNilpotent otherwise). The big complex is first
-    decomposed, delta and h are transported into the split basis, the
-    perturbed pivot (I + delta21 h12) d21 is inverted through the finite
-    series of delta21 h12, and the rebuilt reduction is conjugated back.
-    With delta = 0 this reproduces the input reduction exactly.
+    target is the perturbed complex, with r.big's window and modules
+    (ValueError otherwise) and d . d = 0 checked when it was built. The
+    perturbation delta(k) = r.big.d(k) + target.d(k) must satisfy
+    pow(delta(k) h(k-1), m) = 0 in every degree (checked; NotNilpotent
+    otherwise). The big complex is first decomposed, delta and h are
+    transported into the split basis, the perturbed pivot
+    (I + delta21 h12) d21 is inverted through the finite series of
+    delta21 h12, and the rebuilt reduction is conjugated back. With
+    target = r.big this reproduces the input reduction exactly.
 
     The nilpotency pre-check, decompose's assertions and the series
     inverse's checks always run. The pre-check is exact and forms no
@@ -244,36 +195,31 @@ def bpl(
     a caller that verifies an equal triple itself.
     """
     big = r.big
-    if p.base != big:
-        raise ValueError("perturbation base differs from the reduction's big complex")
-    for k in range(big.lo + 1, big.hi + 1):
-        if not p.delta(k).mul(r.h(k - 1))._power_is_zero(m):
+    lo, hi = big.lo, big.hi
+    dims = {k: big.dim(k) for k in big.degrees()}
+    if (target.lo, target.hi) != (lo, hi) or any(target.dim(k) != n for k, n in dims.items()):
+        raise ValueError("target complex differs from the big complex in its window or modules")
+    delta = {k: big.d(k) + target.d(k) for k in range(lo + 1, hi + 1)}
+    for k, delta_k in delta.items():
+        if not delta_k.mul(r.h(k - 1))._power_is_zero(m):
             raise NotNilpotent(f"delta h is not annihilated by exponent {m} in degree {k}")
 
     dec = decompose(r)
-    lo, hi = big.lo, big.hi
-
-    # decompose covers every degree of the window; above it the module
-    # is zero and the change of basis is the empty identity.
-    above = {hi + 1: Gf2Matrix.identity(0)}
-    phi = {**dec.phi, **above}.__getitem__
-    phi_inv = {**dec.phi_inv, **above}.__getitem__
-
-    dims = {k: big.dim(k) for k in big.degrees()}
+    phi, phi_inv = dec.phi, dec.phi_inv
     d_pert = {
-        k: dec.transformed.cx.d(k) + phi_inv(k - 1).mul(p.delta(k).mul(phi(k)))
-        for k in range(lo + 1, hi + 1)
+        k: dec.transformed.cx.d(k) + phi_inv[k - 1].mul(delta_k.mul(phi[k]))
+        for k, delta_k in delta.items()
     }
-    # p.perturbed (checked) conjugated by phi, so d . d = 0 carries over.
+    # target (checked) conjugated by phi, so d . d = 0 carries over.
     pert_split = SplitComplex(FGChainComplex._known_valid(lo, hi, dims, d_pert), dec.splits)
 
-    # Transported homotopy must live entirely in its (1, 2) block.
+    # Transported homotopy must live entirely in its (1, 2) block. h(hi)
+    # maps into the zero module above the window, so it has no block.
     h12: dict[int, Gf2Matrix] = {}
-    for k in range(lo, hi + 1):
-        ht = phi_inv(k + 1).mul(r.h(k).mul(phi(k)))
-        a_next, b_next, _ = dec.splits.get(k + 1, (0, 0, 0))
+    for k in range(lo, hi):
+        ht = phi_inv[k + 1].mul(r.h(k).mul(phi[k]))
         a_k, b_k, _ = dec.splits[k]
-        top, rest = ht.split_rows(a_next)
+        top, rest = ht.split_rows(dec.splits[k + 1][0])
         left, r2 = top.split_cols(a_k)
         mid, right = r2.split_cols(b_k)
         if not (left.is_zero() and right.is_zero() and rest.is_zero()):
@@ -284,8 +230,7 @@ def bpl(
 
     pivots: dict[int, Gf2Matrix] = {}
     for k in range(lo + 1, hi + 1):
-        a_k = dec.splits[k][0]
-        if a_k == 0:
+        if dec.splits[k][0] == 0:
             continue
         delta21 = pert_split.blocks(k)[1][0] + dec.transformed.blocks(k)[1][0]
         series = delta21.mul(h12[k - 1]).nilpotent_series_inverse(m)
@@ -293,10 +238,10 @@ def bpl(
 
     inner = hexagonal_general(pert_split, pivots, verify=False)
 
-    f = {k: inner.f(k).mul(phi_inv(k)) for k in range(lo, hi + 1)}
-    g = {k: phi(k).mul(inner.g(k)) for k in range(lo, hi + 1)}
-    h = {k: phi(k + 1).mul(inner.h(k).mul(phi_inv(k))) for k in range(lo, hi + 1)}
-    triple = ReductionTriple(p.perturbed, inner.small, f, g, h)
+    f = {k: inner.f(k).mul(phi_inv[k]) for k in range(lo, hi + 1)}
+    g = {k: phi[k].mul(inner.g(k)) for k in range(lo, hi + 1)}
+    h = {k: phi[k + 1].mul(inner.h(k).mul(phi_inv[k])) for k in range(lo, hi)}
+    triple = ReductionTriple(target, inner.small, f, g, h)
     if verify:
         report = verify_reduction(triple)
         if not report.ok:
@@ -334,4 +279,4 @@ def vf_reduction_via_bpl(rc: ReorderedComplex, *, verify: bool = True) -> Reduct
     base = FGChainComplex._known_valid(0, 2, {0: c0, 1: c1, 2: c2}, {1: toy})
     split = SplitComplex(base, {k: rc.split.split(k) for k in base.degrees()})
     trivial = _eliminate(split, {1: Gf2Matrix.identity(nv)})
-    return bpl(trivial, Perturbation._between(base, rc.reordered), nv + 1, verify=verify)
+    return bpl(trivial, rc.reordered, nv + 1, verify=verify)

@@ -15,7 +15,7 @@ from morsereduce.complexes import TruncatedComplex, betti, verify_reduction
 from morsereduce.cubical import boundary_matrices, build_cubical
 from morsereduce.gf2 import Gf2Matrix, Singular
 from morsereduce.image import BinaryImage, random_image
-from morsereduce.perturbation import Perturbation, bpl, decompose, vf_reduction_via_bpl
+from morsereduce.perturbation import bpl, decompose, vf_reduction_via_bpl
 from morsereduce.pipeline import reduce_pipeline
 from morsereduce.reduction import hexagonal_reduce, reorder
 from morsereduce.vectorfield import (
@@ -203,7 +203,7 @@ def test_perturbation_route_reproduces_the_direct_reduction():
         except Exception as exc:
             bad.append((label, f"decompose: {exc}"))
             continue
-        if bpl(triple, Perturbation(triple.big, {}), 1) != triple:
+        if bpl(triple, triple.big, 1) != triple:
             bad.append((label, "zero-perturbation round trip"))
             continue
         alt = vf_reduction_via_bpl(rc)

@@ -274,6 +274,13 @@ def test_dvf_rejects_malformed_matrices(tmp_path, capsys):
     assert code == 2 and "error:" in err
 
 
+def test_dvf_rejects_a_header_over_the_dimension_limit(tmp_path, capsys):
+    path = write(tmp_path, "m.txt", f"{(1 << 20) + 1} 0\n")
+    code, out, err = run(capsys, ["dvf", path])
+    assert code == 2 and out == ""
+    assert err == "error: header 1048577 0: each dimension must be 0 to 1048576\n"
+
+
 def test_verify_single_image_prints_the_battery(tmp_path, capsys):
     path = write(tmp_path, "ring.pbm", RING_PBM)
     code, out, err = run(capsys, ["verify", path])

@@ -257,6 +257,15 @@ def test_right_kernel_basis_is_the_canonical_rref_basis(m):
 
 
 @settings(max_examples=300, deadline=None)
+@given(any_matrix())
+@example(Gf2Matrix.zeros(0, 0))
+@example(Gf2Matrix.zeros(0, 5))
+@example(Gf2Matrix.zeros(5, 0))
+def test_rank_of_the_forward_elimination_matches_oracle(m):
+    assert m.rank() == oracle.rank(m.to_rows())
+
+
+@settings(max_examples=300, deadline=None)
 @given(square_matrix())
 @example(Gf2Matrix.zeros(0, 0))
 def test_inverse_matches_oracle_or_raises_singular(m):
@@ -1322,3 +1331,13 @@ def test_matrix_text_errors():
         parse_matrix_text("a b\n")
     with pytest.raises(ValueError):
         parse_matrix_text("-1 2\n")
+
+
+def test_matrix_text_header_is_bounded_in_each_dimension():
+    # A zero dimension needs no entries, so only the bound stops a short
+    # header from making a million row or column lists.
+    over = (1 << 20) + 1
+    for header in (f"{over} 0\n", f"0 {over}\n"):
+        with pytest.raises(ValueError, match=r"each dimension must be 0 to 1048576$"):
+            parse_matrix_text(header)
+    assert parse_matrix_text(f"{over - 1} 0\n") == Gf2Matrix.zeros(over - 1, 0)

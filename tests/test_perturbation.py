@@ -15,7 +15,6 @@ from morsereduce.image import random_image
 from morsereduce.perturbation import (
     DecompositionFailure,
     NotInvertible,
-    Perturbation,
     bpl,
     decompose,
     hexagonal_general,
@@ -53,8 +52,9 @@ def test_perturbation_must_square_to_zero():
         cols=d1.cols,
     )
     assert base.dim(2) > 0
+    dims = {k: base.dim(k) for k in base.degrees()}
     with pytest.raises(BoundaryViolation):
-        Perturbation(base, {1: flip})
+        FGChainComplex(0, 2, dims, {1: d1 + flip, 2: base.d(2)})
 
 
 def test_public_constructors_check_that_the_differential_squares_to_zero():
@@ -63,37 +63,22 @@ def test_public_constructors_check_that_the_differential_squares_to_zero():
         FGChainComplex(0, 2, {0: 1, 1: 1, 2: 1}, {1: one, 2: one})
     base = FGChainComplex(0, 2, {0: 1, 1: 1, 2: 1}, {1: one})
     with pytest.raises(BoundaryViolation):
-        Perturbation(base, {2: one})
+        FGChainComplex(0, 2, {0: 1, 1: 1, 2: 1}, {1: base.d(1), 2: one})
 
 
 def test_the_route_perturbation_must_land_on_its_target():
     base = image_complex(5, 5, 0.6, 7)
-    same = Perturbation._between(base, base)
-    assert same.perturbed is base
-    assert all(same.delta(k).is_zero() for k in base.degrees())
+    eye = {k: Gf2Matrix.identity(base.dim(k)) for k in base.degrees()}
+    unit = ReductionTriple(base, base, eye, dict(eye), {})
+    assert bpl(unit, base, 1).big is base
     flat = FGChainComplex(0, 2, {k: base.dim(k) for k in base.degrees()})
     assert flat != base  # same modules, zero differential
-    onto_flat = Perturbation._between(base, flat)
-    assert onto_flat.perturbed is flat
-    assert all(onto_flat.delta(k) == base.d(k) for k in base.degrees())
+    onto_flat = bpl(unit, flat, 1)
+    assert onto_flat.big is flat and onto_flat.small == flat
     other = image_complex(5, 5, 0.6, 8)
     assert [other.dim(k) for k in other.degrees()] != [base.dim(k) for k in base.degrees()]
-    with pytest.raises(ValueError, match="differs from the target"):
-        Perturbation._between(base, other)
-
-
-def test_perturbation_rejects_wrong_shapes():
-    base = image_complex(4, 4, 0.8, 2)
-    with pytest.raises(ValueError):
-        Perturbation(base, {1: Gf2Matrix.zeros(1, 1)})
-
-
-def test_zero_perturbation_keeps_the_differential():
-    base = image_complex(5, 5, 0.5, 7)
-    p = Perturbation(base, {})
-    for k in base.degrees():
-        assert p.perturbed.d(k) == base.d(k)
-        assert p.delta(k).is_zero()
+    with pytest.raises(ValueError, match="differs from the big complex"):
+        bpl(unit, other, 1)
 
 
 def test_decompose_splits_off_the_paired_cells():
@@ -163,8 +148,7 @@ def test_bpl_with_zero_perturbation_reproduces_the_reduction():
     for seed in (5, 8):
         t = image_complex(7, 7, 0.55, seed)
         _, (small, triple) = reduction_of(t)
-        p = Perturbation(triple.big, {})
-        out = bpl(triple, p, 1)
+        out = bpl(triple, triple.big, 1)
         assert out.big == triple.big
         assert out.small == triple.small
         for k in triple.big.degrees():
@@ -179,7 +163,7 @@ def test_bpl_requires_base_complexes_to_agree():
     _, (_, triple) = reduction_of(t)
     other = image_complex(4, 4, 0.3, 6)
     with pytest.raises(ValueError):
-        bpl(triple, Perturbation(other, {}), 1)
+        bpl(triple, other, 1)
 
 
 def test_bpl_rejects_insufficient_nilpotency_exponent():
@@ -191,10 +175,10 @@ def test_bpl_rejects_insufficient_nilpotency_exponent():
     small = FGChainComplex(0, 1, {0: 0, 1: 0})
     contraction = ReductionTriple(big, small, {}, {}, {0: one})
     assert verify_reduction(contraction).ok
-    p = Perturbation(big, {1: one})
+    target = FGChainComplex(0, 1, {0: 1, 1: 1})  # d(1) = 0, so delta(1) = I
     for m in (1, 2, 5):
         with pytest.raises(NotNilpotent):
-            bpl(contraction, p, m)
+            bpl(contraction, target, m)
 
 
 def test_vf_route_matches_the_direct_reduction_bit_for_bit():
@@ -258,9 +242,9 @@ def test_vf_route_starts_from_the_trivial_block_reduction(monkeypatch, width, he
     # g = [0; I] in degrees 0 and 1, and h(0) = [[I, 0], [0, 0]].
     seen = []
 
-    def spy(r, p, m, **kw):
+    def spy(r, target, m, **kw):
         seen.append(r)
-        return bpl(r, p, m, **kw)
+        return bpl(r, target, m, **kw)
 
     monkeypatch.setattr(perturbation, "bpl", spy)
     t = image_complex(width, height, density, seed)
@@ -354,7 +338,7 @@ def test_public_route_functions_verify_by_default(monkeypatch):
     }
     count_verifications(monkeypatch, failing_in=(perturbation,))
     with pytest.raises(VerificationError):
-        bpl(triple, Perturbation(triple.big, {}), 1)
+        bpl(triple, triple.big, 1)
     with pytest.raises(VerificationError):
         hexagonal_general(dec.transformed, pivot_inverses)
     with pytest.raises(VerificationError):
