@@ -22,7 +22,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .complexes import FGChainComplex, ReductionTriple, verify_reduction
-from .gf2 import Gf2Matrix, NotNilpotent, Singular, hstack, vstack
+from .gf2 import Gf2Matrix, NotNilpotent, Permutation, Singular, hstack, vstack
 from .reduction import ReorderedComplex, SplitComplex, _eliminate
 from .verification import VerificationError
 
@@ -50,15 +50,88 @@ class Decomposition:
     """Per-degree change of basis exhibiting a reduction's block structure.
 
     phi[k] columns are the A-basis, then the B-basis, then the columns of
-    g(k); splits[k] records the three widths. transformed is the same
-    complex written in that basis, where only the d21 and d33 blocks of
-    each differential are nonzero.
+    g(k); splits[k] records the three widths. When those columns are
+    distinct coordinate vectors, as on vf_reduction_via_bpl's route,
+    phi[k] is the Permutation whose matrix they form (column j is
+    coordinate vector phi[k](j)) and phi_inv[k] its inverse Permutation;
+    otherwise both are matrices. transformed is the same complex written
+    in that basis, where only the d21 and d33 blocks of each differential
+    are nonzero.
     """
 
-    phi: Mapping[int, Gf2Matrix]
-    phi_inv: Mapping[int, Gf2Matrix]
+    phi: Mapping[int, Gf2Matrix | Permutation]
+    phi_inv: Mapping[int, Gf2Matrix | Permutation]
     splits: Mapping[int, tuple[int, int, int]]
     transformed: SplitComplex
+
+    def to_split(self, m: Gf2Matrix, row: int | None, col: int | None) -> Gf2Matrix:
+        """phi[row]^-1 m phi[col]: a map from degree col to degree row in the split bases.
+
+        A side whose degree is None is left as it is.
+        """
+        return _product(self.phi_inv.get(row), m, self.phi.get(col), self.phi_inv.get(col))
+
+    def from_split(self, m: Gf2Matrix, row: int | None, col: int | None) -> Gf2Matrix:
+        """phi[row] m phi[col]^-1: the inverse of to_split."""
+        return _product(self.phi.get(row), m, self.phi_inv.get(col), self.phi.get(col))
+
+
+def _product(
+    left: Gf2Matrix | Permutation | None,
+    m: Gf2Matrix,
+    right: Gf2Matrix | Permutation | None,
+    right_inv: Gf2Matrix | Permutation | None,
+) -> Gf2Matrix:
+    """left m right, where None is the identity and a Permutation stands for its matrix.
+
+    right_inv is right's inverse. The matrix P of a Permutation p has
+    P[p(j)][j] = 1, so P m moves row i of m to row p(i), and m P moves
+    column i of m to column p^-1(i). Permutations are applied by one
+    permute at the end, and identity permutations not at all; matrices
+    are multiplied.
+    """
+    row_perm = col_perm = None
+    if isinstance(right, Permutation):
+        col_perm = right_inv
+    elif right is not None:
+        m = m.mul(right)
+    if isinstance(left, Permutation):
+        row_perm = left
+    elif left is not None:
+        m = left.mul(m)
+    if row_perm is not None and row_perm.is_identity():
+        row_perm = None
+    if col_perm is not None and col_perm.is_identity():
+        col_perm = None
+    if row_perm is None and col_perm is None:
+        return m
+    return m.permute(
+        row_perm or Permutation.identity(m.rows), col_perm or Permutation.identity(m.cols)
+    )
+
+
+def _coordinate_permutation(parts: tuple[Gf2Matrix, ...], n: int) -> Permutation | None:
+    """The Permutation whose matrix is the n x n matrix [parts] side by side, or None.
+
+    Checked on the bits: each column must hold one set bit, in a row of
+    its own. Row i of part q holds the columns offset + j of its set
+    bits, where offset is the width of the parts before q; a row word
+    with two or more bits, a column reached twice, or a row repeated
+    among the columns' bits means [parts] is no permutation matrix.
+    """
+    image = [-1] * n  # image[j]: the row of column j's one set bit
+    offset = 0
+    for part in parts:
+        for i, word in enumerate(part.bits):
+            if word:
+                j = offset + word.bit_length() - 1
+                if word & (word - 1) or image[j] >= 0:
+                    return None
+                image[j] = i
+        offset += part.cols
+    if -1 in image or len(set(image)) != n:
+        return None
+    return Permutation._raw(tuple(image))
 
 
 def decompose(r: ReductionTriple) -> Decomposition:
@@ -70,10 +143,15 @@ def decompose(r: ReductionTriple) -> Decomposition:
     if d21 is not an isomorphism A_k -> B_(k-1), or if d33 differs from
     the small differential. All of that holds for any genuine reduction,
     so a failure here convicts the input.
+
+    phi[k] is a Permutation when the columns of [A | B | g(k)] are
+    distinct coordinate vectors (see _coordinate_permutation), and the
+    differential is then conjugated by moving its rows and columns.
+    Otherwise phi[k] is that matrix and phi_inv[k] comes from inverse().
     """
     big, small = r.big, r.small
-    phi: dict[int, Gf2Matrix] = {}
-    phi_inv: dict[int, Gf2Matrix] = {}
+    phi: dict[int, Gf2Matrix | Permutation] = {}
+    phi_inv: dict[int, Gf2Matrix | Permutation] = {}
     splits: dict[int, tuple[int, int, int]] = {}
     for k in big.degrees():
         a_basis = vstack(r.f(k), r.h(k)).right_kernel_basis()
@@ -84,20 +162,24 @@ def decompose(r: ReductionTriple) -> Decomposition:
             raise DecompositionFailure(
                 f"degree {k}: parts span {total} of {big.dim(k)} dimensions"
             )
-        phi[k] = hstack(hstack(a_basis, b_basis), g_k)
-        try:
-            phi_inv[k] = phi[k].inverse()
-        except Singular as exc:
-            raise DecompositionFailure(f"degree {k}: parts are not independent") from exc
+        perm = _coordinate_permutation((a_basis, b_basis, g_k), total)
+        if perm is not None:
+            phi[k], phi_inv[k] = perm, perm.inverse()
+        else:
+            phi[k] = hstack(hstack(a_basis, b_basis), g_k)
+            try:
+                phi_inv[k] = phi[k].inverse()
+            except Singular as exc:
+                raise DecompositionFailure(f"degree {k}: parts are not independent") from exc
         splits[k] = (a_basis.cols, b_basis.cols, g_k.cols)
 
     dims = {k: big.dim(k) for k in big.degrees()}
     d_new = {
-        k: phi_inv[k - 1].mul(big.d(k).mul(phi[k]))
+        k: _product(phi_inv[k - 1], big.d(k), phi[k], phi_inv[k])
         for k in range(big.lo + 1, big.hi + 1)
     }
-    # A conjugate of big by phi, whose inverse inverse() produced, so
-    # d . d = 0 carries over from big.
+    # A conjugate of big by phi, a permutation or a matrix whose inverse
+    # inverse() produced, so d . d = 0 carries over from big.
     transformed = SplitComplex(FGChainComplex._known_valid(big.lo, big.hi, dims, d_new), splits)
 
     for k in range(big.lo + 1, big.hi + 1):
@@ -110,11 +192,16 @@ def decompose(r: ReductionTriple) -> Decomposition:
                     raise DecompositionFailure(
                         f"degree {k}: block ({i + 1}, {j + 1}) of the split differential is nonzero"
                     )
-        pivot = blocks[1][0]
-        if pivot.rows != pivot.cols or pivot.rank() != pivot.rows:
+        # d21 is an isomorphism exactly when inverse() finds an inverse (it
+        # raises ValueError on a block that is not square). On the route d21
+        # is the identity, which inverse() hands back after one scan, where
+        # rank would run an elimination.
+        try:
+            blocks[1][0].inverse()
+        except (ValueError, Singular) as exc:
             raise DecompositionFailure(
                 f"degree {k}: A -> B block is not an isomorphism"
-            )
+            ) from exc
         if blocks[2][2] != small.d(k):
             raise DecompositionFailure(
                 f"degree {k}: C-block differs from the small differential"
@@ -189,10 +276,11 @@ def bpl(
     returned triple passes verify_reduction. That one check also covers
     the inner triple in the split basis, which is therefore built with
     verify=False: the returned triple is the inner one conjugated by phi,
-    decompose obtained phi's inverse from inverse() (which raises Singular
-    if there is none), and conjugating by an invertible phi keeps every
-    identity in both directions. verify=False skips the closing check for
-    a caller that verifies an equal triple itself.
+    phi is a permutation or decompose obtained its inverse from inverse()
+    (which raises Singular if there is none), and conjugating by an
+    invertible phi keeps every identity in both directions. verify=False
+    skips the closing check for a caller that verifies an equal triple
+    itself.
     """
     big = r.big
     lo, hi = big.lo, big.hi
@@ -205,9 +293,8 @@ def bpl(
             raise NotNilpotent(f"delta h is not annihilated by exponent {m} in degree {k}")
 
     dec = decompose(r)
-    phi, phi_inv = dec.phi, dec.phi_inv
     d_pert = {
-        k: dec.transformed.cx.d(k) + phi_inv[k - 1].mul(delta_k.mul(phi[k]))
+        k: dec.transformed.cx.d(k) + dec.to_split(delta_k, k - 1, k)
         for k, delta_k in delta.items()
     }
     # target (checked) conjugated by phi, so d . d = 0 carries over.
@@ -217,7 +304,7 @@ def bpl(
     # maps into the zero module above the window, so it has no block.
     h12: dict[int, Gf2Matrix] = {}
     for k in range(lo, hi):
-        ht = phi_inv[k + 1].mul(r.h(k).mul(phi[k]))
+        ht = dec.to_split(r.h(k), k + 1, k)
         a_k, b_k, _ = dec.splits[k]
         top, rest = ht.split_rows(dec.splits[k + 1][0])
         left, r2 = top.split_cols(a_k)
@@ -238,9 +325,9 @@ def bpl(
 
     inner = hexagonal_general(pert_split, pivots, verify=False)
 
-    f = {k: inner.f(k).mul(phi_inv[k]) for k in range(lo, hi + 1)}
-    g = {k: phi[k].mul(inner.g(k)) for k in range(lo, hi + 1)}
-    h = {k: phi[k + 1].mul(inner.h(k).mul(phi_inv[k])) for k in range(lo, hi)}
+    f = {k: dec.from_split(inner.f(k), None, k) for k in range(lo, hi + 1)}
+    g = {k: dec.from_split(inner.g(k), k, None) for k in range(lo, hi + 1)}
+    h = {k: dec.from_split(inner.h(k), k + 1, k) for k in range(lo, hi)}
     triple = ReductionTriple(target, inner.small, f, g, h)
     if verify:
         report = verify_reduction(triple)

@@ -281,6 +281,14 @@ def test_dvf_rejects_a_header_over_the_dimension_limit(tmp_path, capsys):
     assert err == "error: header 1048577 0: each dimension must be 0 to 1048576\n"
 
 
+def test_dvf_names_a_header_too_long_to_print_by_its_length(tmp_path, capsys):
+    path = write(tmp_path, "m.txt", "1" * 5000 + " 0\n")
+    code, out, err = run(capsys, ["dvf", path])
+    assert code == 2 and out == ""
+    assert err == "error: bad matrix header: <5000 characters> '0'\n"
+    assert len(err.encode()) < 200
+
+
 def test_verify_single_image_prints_the_battery(tmp_path, capsys):
     path = write(tmp_path, "ring.pbm", RING_PBM)
     code, out, err = run(capsys, ["verify", path])

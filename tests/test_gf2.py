@@ -854,6 +854,89 @@ def test_identity_and_unitriangular_tests_match_their_definitions(m):
     assert m.is_lower_unitriangular() == oracle.is_lower_unitriangular(rows, m.cols)
 
 
+QUESTIONS = ("is_identity", "is_lower_unitriangular")
+
+
+def textbook_answers(m):
+    rows = m.to_rows()
+    return oracle.is_identity(rows, m.cols), oracle.is_lower_unitriangular(rows, m.cols)
+
+
+def answers(m, first=0):
+    """m's answers to both questions, asked twice, QUESTIONS[first] first."""
+    order = QUESTIONS[first:] + QUESTIONS[:first]
+    got = [getattr(m, q)() for q in order]
+    assert [getattr(m, q)() for q in order] == got
+    return tuple(got[::-1] if first else got)
+
+
+def fresh(m):
+    """m, checked to hold no answer yet."""
+    assert m._answers is None
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    identity_candidates().filter(lambda m: m.rows == m.cols),
+    st.sampled_from(["words", "index", "index, words later"]),
+    st.integers(0, 1),
+    st.integers(0, 2**32 - 1),
+)
+@example(Gf2Matrix.identity(4), "index", 0, 0)
+@example(Gf2Matrix.identity(1), "words", 1, 0)  # the flip leaves the 1 x 1 zero matrix
+@example(Gf2Matrix(3, 3, [1, 0b11, 0b100]), "index, words later", 1, 5)
+def test_a_remembered_answer_is_that_of_a_fresh_scan(m, form, first, seed):
+    # Asked once, each question is answered from this matrix's own bits or
+    # index; asked again, from the answer it remembers. No matrix made
+    # from it, or from its bits with one bit flipped, starts with its
+    # answers, whatever it was made by.
+    n = m.rows
+    rng = random.Random(seed)
+    rows = m.to_rows()
+    if form == "words":
+        x = fresh(Gf2Matrix(n, n, m.bits))
+    else:
+        x = fresh(Gf2Matrix._from_index(n, n, oracle.set_columns(rows)))
+    want = textbook_answers(m)
+    if form == "index, words later":
+        assert getattr(x, QUESTIONS[first])() == want[first]
+        assert x.bits == m.bits
+    assert answers(x, first) == want
+    assert words_built(x) == (form != "index")
+    if n == 0:
+        return
+
+    i, j = rng.randrange(n), rng.randrange(n)
+    flipped = [row[:] for row in rows]
+    flipped[i][j] ^= 1
+    f = Gf2Matrix.from_rows(flipped, cols=n)
+    eye, zero = Gf2Matrix.identity(n), Gf2Matrix.zeros(n, n)
+    # [I 0; F I] is unit lower triangular whatever F is; its lower left
+    # block is split off whole, through an index or through words.
+    stacked = vstack(hstack(eye, zero), hstack(f, eye))
+    if form != "words":
+        stacked = Gf2Matrix._from_index(2 * n, 2 * n, oracle.set_columns(stacked.to_rows()))
+    assert answers(stacked) == (False, True) or f == zero
+    _, bottom = stacked.split_rows(n)
+    row_perm = Permutation(tuple(rng.sample(range(n), n)))
+    col_perm = Permutation(tuple(rng.sample(range(n), n)))
+    made = {
+        "_raw": Gf2Matrix._raw(n, n, f.bits),
+        "_from_index": Gf2Matrix._from_index(n, n, oracle.set_columns(flipped)),
+        "split": fresh(bottom).split_cols(n)[0],
+        "+": x + Gf2Matrix(n, n, [(1 << j) if r == i else 0 for r in range(n)]),
+        "permute": x.permute(row_perm, col_perm),
+    }
+    for how, y in made.items():
+        want_y = textbook_answers(y)
+        assert y.to_rows() == (
+            oracle.permute(rows, list(row_perm.image), list(col_perm.image))
+            if how == "permute" else flipped
+        ), how
+        assert answers(fresh(y), 1 - first) == want_y, how
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 7, 70])
 def test_inverse_of_an_identity_is_an_equal_matrix(n):
     for eye in (Gf2Matrix.identity(n), Gf2Matrix(n, n, [1 << i for i in range(n)])):
@@ -1331,6 +1414,19 @@ def test_matrix_text_errors():
         parse_matrix_text("a b\n")
     with pytest.raises(ValueError):
         parse_matrix_text("-1 2\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1" * 5000 + " 0\n", "bad matrix header: <5000 characters> '0'"),
+    ("x" * 25 + " y\n", "bad matrix header: <25 characters> 'y'"),
+    ("x" * 24 + " y\n", f"bad matrix header: '{'x' * 24}' 'y'"),
+    ("1" * 4000 + " 0\n", "header <4000 characters> 0: each dimension must be 0 to 1048576"),
+    ("1 2\n1 " + "2" * 100 + "\n", "entry 1 is <100 characters>, not 0 or 1"),
+])
+def test_a_token_too_long_to_print_is_named_by_its_length(text, message):
+    with pytest.raises(ValueError) as exc:
+        parse_matrix_text(text)
+    assert str(exc.value) == message
 
 
 def test_matrix_text_header_is_bounded_in_each_dimension():

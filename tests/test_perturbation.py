@@ -10,7 +10,7 @@ from morsereduce.complexes import (
     verify_reduction,
 )
 from morsereduce.cubical import boundary_matrices, build_cubical
-from morsereduce.gf2 import Gf2Matrix, NotNilpotent, hstack, vstack
+from morsereduce.gf2 import Gf2Matrix, NotNilpotent, Permutation, hstack, vstack
 from morsereduce.image import random_image
 from morsereduce.perturbation import (
     DecompositionFailure,
@@ -112,6 +112,155 @@ def test_decompose_rejects_tampered_triples():
     )
     with pytest.raises(DecompositionFailure):
         decompose(tampered)
+
+
+def pairs_deleted_in_place(t, vf):
+    """The trivial reduction that deletes vf's pairs where they stand, with no reordering.
+
+    Its big complex is the toy one whose d(1) sends each paired edge to
+    its paired vertex; f and g keep the critical cells in their order,
+    and h(0) sends each paired vertex back to its edge.
+    """
+    c0, c1, c2 = t.dims()
+    vertices = {v for v, _ in vf.pairs}
+    edges = {e for _, e in vf.pairs}
+    toy, homotopy = [0] * c0, [0] * c1
+    for v, e in vf.pairs:
+        toy[v] |= 1 << e
+        homotopy[e] |= 1 << v
+    big = FGChainComplex(0, 2, {0: c0, 1: c1, 2: c2}, {1: Gf2Matrix(c0, c1, toy)})
+    kept = {
+        0: [v for v in range(c0) if v not in vertices],
+        1: [e for e in range(c1) if e not in edges],
+    }
+    f = {k: Gf2Matrix(len(cells), big.dim(k), [1 << c for c in cells]) for k, cells in kept.items()}
+    f[2] = Gf2Matrix.identity(c2)
+    small = FGChainComplex(0, 2, {k: f[k].rows for k in f})
+    g = {k: m.transpose() for k, m in f.items()}
+    return ReductionTriple(big, small, f, g, {0: Gf2Matrix(c1, c0, homotopy)})
+
+
+def permutation_matrix(p):
+    """The matrix P of a Permutation p, with P[p(j)][j] = 1."""
+    return Gf2Matrix.identity(p.size).permute(p, Permutation.identity(p.size))
+
+
+def hand_decomposition(r):
+    """decompose's change of basis and conjugated differentials, as matrices, by hand."""
+    phi = {}
+    for k in r.big.degrees():
+        a_basis = vstack(r.f(k), r.h(k)).right_kernel_basis()
+        b_basis = vstack(r.f(k), r.big.d(k)).right_kernel_basis()
+        phi[k] = hstack(hstack(a_basis, b_basis), r.g(k))
+    d = {k: phi[k - 1].inverse().mul(r.big.d(k).mul(phi[k])) for k in (1, 2)}
+    return phi, d
+
+
+@pytest.mark.parametrize("width, height, density, seed", [(6, 6, 0.6, 13), (8, 7, 0.5, 27)])
+def test_decompose_moves_coordinate_bases_as_the_matrix_path_multiplies(
+    monkeypatch, width, height, density, seed
+):
+    t = image_complex(width, height, density, seed)
+    vf = sort_by_lambda(rs_algorithm(t.d1))
+    trivial = pairs_deleted_in_place(t, vf)
+    assert verify_reduction(trivial).ok
+    phi, d = hand_decomposition(trivial)
+    dec = decompose(trivial)
+    for k in trivial.big.degrees():
+        assert isinstance(dec.phi[k], Permutation)
+        assert permutation_matrix(dec.phi[k]) == phi[k]
+        assert dec.phi_inv[k] == dec.phi[k].inverse()
+    assert not dec.phi[1].is_identity()  # the paired edges are not the first ones
+    for k in (1, 2):
+        assert dec.transformed.cx.d(k) == d[k]
+    moved = bpl(trivial, t, vf.nv + 1)
+
+    # The same reduction, with the coordinate bases refused, takes the
+    # matrix path and lands on the same conjugated complex and triple.
+    monkeypatch.setattr(perturbation, "_coordinate_permutation", lambda parts, n: None)
+    by_matrices = decompose(trivial)
+    for k in trivial.big.degrees():
+        assert by_matrices.phi[k] == phi[k]
+    for k in (1, 2):
+        assert by_matrices.transformed.cx.d(k) == dec.transformed.cx.d(k)
+    assert bpl(trivial, t, vf.nv + 1) == moved
+
+
+def test_decompose_keeps_the_matrix_path_for_bases_that_are_not_coordinates():
+    t = image_complex(6, 6, 0.6, 13)
+    _, (_, triple) = reduction_of(t)
+    phi, d = hand_decomposition(triple)
+    dec = decompose(triple)
+    assert type(dec.phi[1]) is Gf2Matrix and dec.phi[1] == phi[1]  # g(1) holds L^-1 T
+    assert dec.phi_inv[1].mul(dec.phi[1]).is_identity()
+    for k in (1, 2):
+        assert dec.transformed.cx.d(k) == d[k]
+
+
+def test_decompose_refuses_a_basis_with_a_repeated_coordinate():
+    # g sends both small cells to the big complex's first cell: each column
+    # of [A | B | g] is a coordinate vector, but the same one.
+    cx = FGChainComplex(0, 0, {0: 2})
+    g = Gf2Matrix(2, 2, [0b11, 0])
+    repeated = ReductionTriple(cx, cx, {0: Gf2Matrix.identity(2)}, {0: g}, {})
+    with pytest.raises(DecompositionFailure, match="not independent"):
+        decompose(repeated)
+    # Columns in two parts on the same coordinate are no permutation either.
+    e0 = Gf2Matrix(2, 1, [1, 0])
+    assert perturbation._coordinate_permutation((e0, e0), 2) is None
+    e1 = Gf2Matrix(2, 1, [0, 1])
+    assert perturbation._coordinate_permutation((e0, e1), 2) == Permutation((0, 1))
+
+
+def test_the_route_changes_basis_by_identity_permutations_and_forms_no_product_with_one(
+    monkeypatch,
+):
+    t = image_complex(6, 6, 0.6, 13)
+    rc, _ = reduction_of(t)
+    decompositions = []
+
+    def spy(r):
+        decompositions.append(decompose(r))
+        return decompositions[-1]
+
+    identity_factors = []
+    mul = Gf2Matrix.mul
+    dims = set(t.dims())
+
+    def counting(a, b):
+        for x in (a, b):
+            if x.rows == x.cols and x.rows in dims and x == Gf2Matrix.identity(x.rows):
+                identity_factors.append(x.rows)
+        return mul(a, b)
+
+    monkeypatch.setattr(perturbation, "decompose", spy)
+    monkeypatch.setattr(Gf2Matrix, "mul", counting)
+    # As the pipeline runs it: the closing verify_reduction multiplies the
+    # triple's own f(2) = g(2) = I, where no cell is paired, as a check.
+    vf_reduction_via_bpl(rc, verify=False)
+    monkeypatch.undo()
+    (dec,) = decompositions
+    for k, n in enumerate(t.dims()):
+        assert dec.phi[k] == Permutation.identity(n) and isinstance(dec.phi[k], Permutation)
+    assert identity_factors == []
+
+
+def test_certified_image_scans_no_matrix_twice_for_one_question(monkeypatch):
+    # Each matrix answers is_identity and is_lower_unitriangular from one
+    # full scan at most; every later call reads the remembered answer.
+    scanned = []
+    scan = Gf2Matrix._scan
+
+    def counting(m, question):
+        scanned.append((m, question))  # keeps m alive, so no id is reused
+        return scan(m, question)
+
+    monkeypatch.setattr(Gf2Matrix, "_scan", counting)
+    res = pipeline.reduce_pipeline(random_image(32, 32, 0.6, 1))
+    monkeypatch.undo()
+    assert res.ok and res.checks["bpl_match"] is True
+    keys = [(id(m), question) for m, question in scanned]
+    assert len(keys) == len(set(keys)) and len(keys) > 0
 
 
 def test_hexagonal_general_needs_matching_pivot_inverses():
