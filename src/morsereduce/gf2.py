@@ -945,9 +945,6 @@ class Permutation:
     def identity(cls, n: int) -> Permutation:
         return cls._raw(tuple(range(n)))
 
-    def is_identity(self) -> bool:
-        return all(map(eq, self.image, range(len(self.image))))
-
     def inverse(self) -> Permutation:
         inv = [0] * len(self.image)
         for i, v in enumerate(self.image):

@@ -22,7 +22,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .complexes import FGChainComplex, ReductionTriple, verify_reduction
-from .gf2 import Gf2Matrix, NotNilpotent, Permutation, Singular, hstack, vstack
+from .gf2 import Gf2Matrix, NotNilpotent, Singular, hstack, vstack
 from .reduction import ReorderedComplex, SplitComplex, _eliminate
 from .verification import VerificationError
 
@@ -50,17 +50,15 @@ class Decomposition:
     """Per-degree change of basis exhibiting a reduction's block structure.
 
     phi[k] columns are the A-basis, then the B-basis, then the columns of
-    g(k); splits[k] records the three widths. When those columns are
-    distinct coordinate vectors, as on vf_reduction_via_bpl's route,
-    phi[k] is the Permutation whose matrix they form (column j is
-    coordinate vector phi[k](j)) and phi_inv[k] its inverse Permutation;
-    otherwise both are matrices. transformed is the same complex written
-    in that basis, where only the d21 and d33 blocks of each differential
-    are nonzero.
+    g(k); splits[k] records the three widths. phi[k] and phi_inv[k] are
+    None when that matrix is the identity, as on vf_reduction_via_bpl's
+    route, and otherwise the matrix and its inverse(). transformed is the
+    same complex written in that basis, where only the d21 and d33 blocks
+    of each differential are nonzero.
     """
 
-    phi: Mapping[int, Gf2Matrix | Permutation]
-    phi_inv: Mapping[int, Gf2Matrix | Permutation]
+    phi: Mapping[int, Gf2Matrix | None]
+    phi_inv: Mapping[int, Gf2Matrix | None]
     splits: Mapping[int, tuple[int, int, int]]
     transformed: SplitComplex
 
@@ -69,69 +67,37 @@ class Decomposition:
 
         A side whose degree is None is left as it is.
         """
-        return _product(self.phi_inv.get(row), m, self.phi.get(col), self.phi_inv.get(col))
+        return _product(self.phi_inv.get(row), m, self.phi.get(col))
 
     def from_split(self, m: Gf2Matrix, row: int | None, col: int | None) -> Gf2Matrix:
         """phi[row] m phi[col]^-1: the inverse of to_split."""
-        return _product(self.phi.get(row), m, self.phi_inv.get(col), self.phi.get(col))
+        return _product(self.phi.get(row), m, self.phi_inv.get(col))
 
 
-def _product(
-    left: Gf2Matrix | Permutation | None,
-    m: Gf2Matrix,
-    right: Gf2Matrix | Permutation | None,
-    right_inv: Gf2Matrix | Permutation | None,
-) -> Gf2Matrix:
-    """left m right, where None is the identity and a Permutation stands for its matrix.
-
-    right_inv is right's inverse. The matrix P of a Permutation p has
-    P[p(j)][j] = 1, so P m moves row i of m to row p(i), and m P moves
-    column i of m to column p^-1(i). Permutations are applied by one
-    permute at the end, and identity permutations not at all; matrices
-    are multiplied.
-    """
-    row_perm = col_perm = None
-    if isinstance(right, Permutation):
-        col_perm = right_inv
-    elif right is not None:
+def _product(left: Gf2Matrix | None, m: Gf2Matrix, right: Gf2Matrix | None) -> Gf2Matrix:
+    """left m right, where None stands for the identity and is not multiplied."""
+    if right is not None:
         m = m.mul(right)
-    if isinstance(left, Permutation):
-        row_perm = left
-    elif left is not None:
+    if left is not None:
         m = left.mul(m)
-    if row_perm is not None and row_perm.is_identity():
-        row_perm = None
-    if col_perm is not None and col_perm.is_identity():
-        col_perm = None
-    if row_perm is None and col_perm is None:
-        return m
-    return m.permute(
-        row_perm or Permutation.identity(m.rows), col_perm or Permutation.identity(m.cols)
-    )
+    return m
 
 
-def _coordinate_permutation(parts: tuple[Gf2Matrix, ...], n: int) -> Permutation | None:
-    """The Permutation whose matrix is the n x n matrix [parts] side by side, or None.
+def _is_identity_basis(parts: tuple[Gf2Matrix, ...], n: int) -> bool:
+    """Whether the parts side by side, each with n rows, are the n x n identity.
 
-    Checked on the bits: each column must hold one set bit, in a row of
-    its own. Row i of part q holds the columns offset + j of its set
-    bits, where offset is the width of the parts before q; a row word
-    with two or more bits, a column reached twice, or a row repeated
-    among the columns' bits means [parts] is no permutation matrix.
+    Read off the parts' row words, with no matrix built: row i of the
+    part whose column band starts at offset must be 1 << (i - offset)
+    inside that band and 0 outside it.
     """
-    image = [-1] * n  # image[j]: the row of column j's one set bit
     offset = 0
     for part in parts:
+        end = offset + part.cols
         for i, word in enumerate(part.bits):
-            if word:
-                j = offset + word.bit_length() - 1
-                if word & (word - 1) or image[j] >= 0:
-                    return None
-                image[j] = i
-        offset += part.cols
-    if -1 in image or len(set(image)) != n:
-        return None
-    return Permutation._raw(tuple(image))
+            if word != (1 << (i - offset) if offset <= i < end else 0):
+                return False
+        offset = end
+    return offset == n
 
 
 def decompose(r: ReductionTriple) -> Decomposition:
@@ -144,14 +110,14 @@ def decompose(r: ReductionTriple) -> Decomposition:
     the small differential. All of that holds for any genuine reduction,
     so a failure here convicts the input.
 
-    phi[k] is a Permutation when the columns of [A | B | g(k)] are
-    distinct coordinate vectors (see _coordinate_permutation), and the
-    differential is then conjugated by moving its rows and columns.
-    Otherwise phi[k] is that matrix and phi_inv[k] comes from inverse().
+    phi[k] and phi_inv[k] are None when [A | B | g(k)] is the identity
+    (see _is_identity_basis), and the differential is then not multiplied
+    on that side. Otherwise phi[k] is that matrix and phi_inv[k] comes
+    from inverse().
     """
     big, small = r.big, r.small
-    phi: dict[int, Gf2Matrix | Permutation] = {}
-    phi_inv: dict[int, Gf2Matrix | Permutation] = {}
+    phi: dict[int, Gf2Matrix | None] = {}
+    phi_inv: dict[int, Gf2Matrix | None] = {}
     splits: dict[int, tuple[int, int, int]] = {}
     for k in big.degrees():
         a_basis = vstack(r.f(k), r.h(k)).right_kernel_basis()
@@ -162,9 +128,8 @@ def decompose(r: ReductionTriple) -> Decomposition:
             raise DecompositionFailure(
                 f"degree {k}: parts span {total} of {big.dim(k)} dimensions"
             )
-        perm = _coordinate_permutation((a_basis, b_basis, g_k), total)
-        if perm is not None:
-            phi[k], phi_inv[k] = perm, perm.inverse()
+        if _is_identity_basis((a_basis, b_basis, g_k), total):
+            phi[k] = phi_inv[k] = None
         else:
             phi[k] = hstack(hstack(a_basis, b_basis), g_k)
             try:
@@ -175,10 +140,10 @@ def decompose(r: ReductionTriple) -> Decomposition:
 
     dims = {k: big.dim(k) for k in big.degrees()}
     d_new = {
-        k: _product(phi_inv[k - 1], big.d(k), phi[k], phi_inv[k])
+        k: _product(phi_inv[k - 1], big.d(k), phi[k])
         for k in range(big.lo + 1, big.hi + 1)
     }
-    # A conjugate of big by phi, a permutation or a matrix whose inverse
+    # A conjugate of big by phi, the identity or a matrix whose inverse
     # inverse() produced, so d . d = 0 carries over from big.
     transformed = SplitComplex(FGChainComplex._known_valid(big.lo, big.hi, dims, d_new), splits)
 
@@ -186,9 +151,7 @@ def decompose(r: ReductionTriple) -> Decomposition:
         blocks = transformed.blocks(k)
         for i in range(3):
             for j in range(3):
-                if (i, j) in ((1, 0), (2, 2)):
-                    continue
-                if not blocks[i][j].is_zero():
+                if (i, j) not in ((1, 0), (2, 2)) and not blocks[i][j].is_zero():
                     raise DecompositionFailure(
                         f"degree {k}: block ({i + 1}, {j + 1}) of the split differential is nonzero"
                     )
@@ -276,7 +239,7 @@ def bpl(
     returned triple passes verify_reduction. That one check also covers
     the inner triple in the split basis, which is therefore built with
     verify=False: the returned triple is the inner one conjugated by phi,
-    phi is a permutation or decompose obtained its inverse from inverse()
+    phi is the identity or decompose obtained its inverse from inverse()
     (which raises Singular if there is none), and conjugating by an
     invertible phi keeps every identity in both directions. verify=False
     skips the closing check for a caller that verifies an equal triple

@@ -1,6 +1,8 @@
 """Unit tests for perturbed differentials and the perturbation-based route."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from morsereduce import complexes, perturbation, pipeline
 from morsereduce.complexes import (
@@ -10,7 +12,7 @@ from morsereduce.complexes import (
     verify_reduction,
 )
 from morsereduce.cubical import boundary_matrices, build_cubical
-from morsereduce.gf2 import Gf2Matrix, NotNilpotent, Permutation, hstack, vstack
+from morsereduce.gf2 import Gf2Matrix, NotNilpotent, hstack, vstack
 from morsereduce.image import random_image
 from morsereduce.perturbation import (
     DecompositionFailure,
@@ -140,11 +142,6 @@ def pairs_deleted_in_place(t, vf):
     return ReductionTriple(big, small, f, g, {0: Gf2Matrix(c1, c0, homotopy)})
 
 
-def permutation_matrix(p):
-    """The matrix P of a Permutation p, with P[p(j)][j] = 1."""
-    return Gf2Matrix.identity(p.size).permute(p, Permutation.identity(p.size))
-
-
 def hand_decomposition(r):
     """decompose's change of basis and conjugated differentials, as matrices, by hand."""
     phi = {}
@@ -156,10 +153,13 @@ def hand_decomposition(r):
     return phi, d
 
 
+def held(phi):
+    """A change of basis as decompose holds it: None for the identity, else the matrix."""
+    return None if phi == Gf2Matrix.identity(phi.rows) else phi
+
+
 @pytest.mark.parametrize("width, height, density, seed", [(6, 6, 0.6, 13), (8, 7, 0.5, 27)])
-def test_decompose_moves_coordinate_bases_as_the_matrix_path_multiplies(
-    monkeypatch, width, height, density, seed
-):
+def test_decompose_multiplies_by_a_coordinate_basis(width, height, density, seed):
     t = image_complex(width, height, density, seed)
     vf = sort_by_lambda(rs_algorithm(t.d1))
     trivial = pairs_deleted_in_place(t, vf)
@@ -167,23 +167,12 @@ def test_decompose_moves_coordinate_bases_as_the_matrix_path_multiplies(
     phi, d = hand_decomposition(trivial)
     dec = decompose(trivial)
     for k in trivial.big.degrees():
-        assert isinstance(dec.phi[k], Permutation)
-        assert permutation_matrix(dec.phi[k]) == phi[k]
-        assert dec.phi_inv[k] == dec.phi[k].inverse()
-    assert not dec.phi[1].is_identity()  # the paired edges are not the first ones
+        assert dec.phi[k] == held(phi[k])
+    assert dec.phi[1] is not None  # the paired edges are not the first ones
+    assert dec.phi_inv[1].mul(dec.phi[1]).is_identity()
     for k in (1, 2):
         assert dec.transformed.cx.d(k) == d[k]
-    moved = bpl(trivial, t, vf.nv + 1)
-
-    # The same reduction, with the coordinate bases refused, takes the
-    # matrix path and lands on the same conjugated complex and triple.
-    monkeypatch.setattr(perturbation, "_coordinate_permutation", lambda parts, n: None)
-    by_matrices = decompose(trivial)
-    for k in trivial.big.degrees():
-        assert by_matrices.phi[k] == phi[k]
-    for k in (1, 2):
-        assert by_matrices.transformed.cx.d(k) == dec.transformed.cx.d(k)
-    assert bpl(trivial, t, vf.nv + 1) == moved
+    assert verify_reduction(bpl(trivial, t, vf.nv + 1)).ok
 
 
 def test_decompose_keeps_the_matrix_path_for_bases_that_are_not_coordinates():
@@ -193,8 +182,12 @@ def test_decompose_keeps_the_matrix_path_for_bases_that_are_not_coordinates():
     dec = decompose(triple)
     assert type(dec.phi[1]) is Gf2Matrix and dec.phi[1] == phi[1]  # g(1) holds L^-1 T
     assert dec.phi_inv[1].mul(dec.phi[1]).is_identity()
+    # A = B = 0 and g(2) = I in degree 2, so one side of d(2)'s conjugation
+    # is a matrix and the other is not multiplied.
+    assert phi[2] == Gf2Matrix.identity(t.dims()[2]) and dec.phi[2] is None
     for k in (1, 2):
         assert dec.transformed.cx.d(k) == d[k]
+    assert bpl(triple, triple.big, 1) == triple
 
 
 def test_decompose_refuses_a_basis_with_a_repeated_coordinate():
@@ -205,16 +198,39 @@ def test_decompose_refuses_a_basis_with_a_repeated_coordinate():
     repeated = ReductionTriple(cx, cx, {0: Gf2Matrix.identity(2)}, {0: g}, {})
     with pytest.raises(DecompositionFailure, match="not independent"):
         decompose(repeated)
-    # Columns in two parts on the same coordinate are no permutation either.
-    e0 = Gf2Matrix(2, 1, [1, 0])
-    assert perturbation._coordinate_permutation((e0, e0), 2) is None
-    e1 = Gf2Matrix(2, 1, [0, 1])
-    assert perturbation._coordinate_permutation((e0, e1), 2) == Permutation((0, 1))
+    e0, e1 = Gf2Matrix(2, 1, [1, 0]), Gf2Matrix(2, 1, [0, 1])
+    assert perturbation._is_identity_basis((e0, e1), 2)
+    assert not perturbation._is_identity_basis((e0, e0), 2)
+    assert not perturbation._is_identity_basis((e1, e0), 2)
 
 
-def test_the_route_changes_basis_by_identity_permutations_and_forms_no_product_with_one(
-    monkeypatch,
-):
+@st.composite
+def column_parts(draw):
+    """An n x n matrix, often the identity or one bit off it, cut into three column parts."""
+    n = draw(st.integers(0, 9))
+    words = [1 << i for i in range(n)]
+    kind = draw(st.sampled_from(["identity", "flip", "any"]))
+    if kind == "flip" and n:
+        words[draw(st.integers(0, n - 1))] ^= 1 << draw(st.integers(0, n - 1))
+    elif kind == "any":
+        words = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
+    m = Gf2Matrix(n, n, words)
+    i = draw(st.integers(0, n))
+    j = draw(st.integers(i, n))
+    a, rest = m.split_cols(i)
+    b, c = rest.split_cols(j - i)
+    return n, (a, b, c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(column_parts())
+def test_identity_basis_answers_as_the_stacked_matrix(case):
+    n, (a, b, c) = case
+    want = hstack(hstack(a, b), c) == Gf2Matrix.identity(n)
+    assert perturbation._is_identity_basis((a, b, c), n) == want
+
+
+def test_the_route_changes_no_basis_and_forms_no_product_with_one(monkeypatch):
     t = image_complex(6, 6, 0.6, 13)
     rc, _ = reduction_of(t)
     decompositions = []
@@ -240,8 +256,7 @@ def test_the_route_changes_basis_by_identity_permutations_and_forms_no_product_w
     vf_reduction_via_bpl(rc, verify=False)
     monkeypatch.undo()
     (dec,) = decompositions
-    for k, n in enumerate(t.dims()):
-        assert dec.phi[k] == Permutation.identity(n) and isinstance(dec.phi[k], Permutation)
+    assert list(dec.phi.values()) == list(dec.phi_inv.values()) == [None] * 3
     assert identity_factors == []
 
 
