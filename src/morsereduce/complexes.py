@@ -29,7 +29,10 @@ class BoundaryViolation(Exception):
 
 
 class FGChainComplex:
-    """A chain complex concentrated in degrees lo..hi with d(k) . d(k+1) = 0."""
+    """A chain complex concentrated in degrees lo..hi with d(k) . d(k+1) = 0.
+
+    Every complex, the perturbation route's included, is checked when built.
+    """
 
     __slots__ = ("lo", "hi", "_dims", "_d")
 
@@ -40,27 +43,6 @@ class FGChainComplex:
         dims: Mapping[int, int],
         d: Mapping[int, Gf2Matrix] | None = None,
     ):
-        self._store(lo, hi, dims, d)
-        self.check_boundaries()
-
-    @classmethod
-    def _known_valid(
-        cls, lo: int, hi: int, dims: Mapping[int, int], d: Mapping[int, Gf2Matrix]
-    ) -> FGChainComplex:
-        """A complex whose d(k) . d(k+1) = 0 the caller has already established.
-
-        Shapes are validated as in the constructor; only check_boundaries
-        is skipped. For the perturbation route's own complexes: each is a
-        complex already checked, or one conjugated by a change of basis
-        whose inverse inverse() produced, and d . d = 0 survives both.
-        """
-        cx = cls.__new__(cls)
-        cx._store(lo, hi, dims, d)
-        return cx
-
-    def _store(
-        self, lo: int, hi: int, dims: Mapping[int, int], d: Mapping[int, Gf2Matrix] | None
-    ) -> None:
         if lo > hi:
             raise ValueError(f"empty degree window [{lo}, {hi}]")
         self._dims: dict[int, int] = {}
@@ -72,8 +54,7 @@ class FGChainComplex:
             if n < 0:
                 raise ValueError(f"negative dimension {n} in degree {k}")
             self._dims[k] = n
-        self.lo = lo
-        self.hi = hi
+        self.lo, self.hi = lo, hi
         self._d: dict[int, Gf2Matrix] = {}
         for k, m in (d or {}).items():
             if k <= lo or k > hi:
@@ -85,11 +66,16 @@ class FGChainComplex:
                     f"d({k}) is {m.rows}x{m.cols}, expected {self.dim(k - 1)}x{self.dim(k)}"
                 )
             self._d[k] = m
+        self.check_boundaries()
 
     def check_boundaries(self) -> None:
-        """Raise BoundaryViolation unless d(k) . d(k+1) = 0 in every degree."""
+        """Raise BoundaryViolation unless d(k) . d(k+1) = 0 in every degree.
+
+        A degree where d(k) or d(k+1) is_zero() is answered without a product.
+        """
         for k in range(self.lo + 1, self.hi):
-            if not self.d(k).mul(self.d(k + 1)).is_zero():
+            left, right = self.d(k), self.d(k + 1)
+            if not (left.is_zero() or right.is_zero() or left.mul(right).is_zero()):
                 raise BoundaryViolation(f"d({k}) . d({k + 1}) != 0")
 
     def dim(self, k: int) -> int:

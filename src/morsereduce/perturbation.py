@@ -143,9 +143,7 @@ def decompose(r: ReductionTriple) -> Decomposition:
         k: _product(phi_inv[k - 1], big.d(k), phi[k])
         for k in range(big.lo + 1, big.hi + 1)
     }
-    # A conjugate of big by phi, the identity or a matrix whose inverse
-    # inverse() produced, so d . d = 0 carries over from big.
-    transformed = SplitComplex(FGChainComplex._known_valid(big.lo, big.hi, dims, d_new), splits)
+    transformed = SplitComplex(FGChainComplex(big.lo, big.hi, dims, d_new), splits)
 
     for k in range(big.lo + 1, big.hi + 1):
         blocks = transformed.blocks(k)
@@ -222,19 +220,19 @@ def bpl(
     """Carry a reduction across a perturbation of its big differential.
 
     target is the perturbed complex, with r.big's window and modules
-    (ValueError otherwise) and d . d = 0 checked when it was built. The
-    perturbation delta(k) = r.big.d(k) + target.d(k) must satisfy
-    pow(delta(k) h(k-1), m) = 0 in every degree (checked; NotNilpotent
-    otherwise). The big complex is first decomposed, delta and h are
-    transported into the split basis, the perturbed pivot
-    (I + delta21 h12) d21 is inverted through the finite series of
-    delta21 h12, and the rebuilt reduction is conjugated back. With
-    target = r.big this reproduces the input reduction exactly.
+    (ValueError otherwise). The perturbation delta(k) = r.big.d(k) +
+    target.d(k) must satisfy pow(delta(k) h(k-1), m) = 0 in every degree
+    (checked; NotNilpotent otherwise). The big complex is first
+    decomposed, delta and h are transported into the split basis, the
+    perturbed pivot (I + delta21 h12) d21 is inverted through the finite
+    series of delta21 h12, and the rebuilt reduction is conjugated back.
+    With target = r.big this reproduces the input reduction exactly.
 
-    The nilpotency pre-check, decompose's assertions and the series
-    inverse's checks always run. The pre-check is exact and forms no
-    power when delta h is strictly lower triangular with chains shorter
-    than m, as it is on vf_reduction_via_bpl's route (see
+    The nilpotency pre-check, decompose's assertions, the d . d = 0 check
+    of the perturbed complex in the split basis (BoundaryViolation) and
+    the series inverse's checks always run. The pre-check is exact and
+    forms no power when delta h is strictly lower triangular with chains
+    shorter than m, as it is on vf_reduction_via_bpl's route (see
     Gf2Matrix._power_is_zero). With verify=True (the default) the
     returned triple passes verify_reduction. That one check also covers
     the inner triple in the split basis, which is therefore built with
@@ -260,8 +258,7 @@ def bpl(
         k: dec.transformed.cx.d(k) + dec.to_split(delta_k, k - 1, k)
         for k, delta_k in delta.items()
     }
-    # target (checked) conjugated by phi, so d . d = 0 carries over.
-    pert_split = SplitComplex(FGChainComplex._known_valid(lo, hi, dims, d_pert), dec.splits)
+    pert_split = SplitComplex(FGChainComplex(lo, hi, dims, d_pert), dec.splits)
 
     # Transported homotopy must live entirely in its (1, 2) block. h(hi)
     # maps into the zero module above the window, so it has no block.
@@ -325,8 +322,7 @@ def vf_reduction_via_bpl(rc: ReorderedComplex, *, verify: bool = True) -> Reduct
     c0, c1, c2 = rc.original.dims()
     nv = rc.nv
     toy = Gf2Matrix(c0, c1, [1 << i for i in range(nv)] + [0] * (c0 - nv))
-    # d(2) is zero, so the toy complex squares to zero.
-    base = FGChainComplex._known_valid(0, 2, {0: c0, 1: c1, 2: c2}, {1: toy})
+    base = FGChainComplex(0, 2, {0: c0, 1: c1, 2: c2}, {1: toy})
     split = SplitComplex(base, {k: rc.split.split(k) for k in base.degrees()})
     trivial = _eliminate(split, {1: Gf2Matrix.identity(nv)})
     return bpl(trivial, rc.reordered, nv + 1, verify=verify)

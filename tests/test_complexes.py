@@ -47,6 +47,29 @@ def test_fg_complex_rejects_nonsquaring_differential():
         FGChainComplex(0, 2, {0: 1, 1: 1, 2: 1}, {1: d1, 2: d2})
 
 
+@pytest.mark.parametrize(
+    "d",
+    [
+        {1: Gf2Matrix.from_rows([[1, 1]])},  # d(2) implicit zero
+        {1: Gf2Matrix.from_rows([[1, 1]]), 2: Gf2Matrix.zeros(2, 1)},
+        {2: Gf2Matrix.from_rows([[1], [1]])},  # d(1) implicit zero
+        {1: Gf2Matrix.zeros(1, 2), 2: Gf2Matrix.from_rows([[1], [1]])},
+    ],
+)
+def test_a_zero_differential_is_checked_without_a_product(monkeypatch, d):
+    calls = []
+    mul = Gf2Matrix.mul
+
+    def counting(a, b):
+        calls.append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(Gf2Matrix, "mul", counting)
+    c = FGChainComplex(0, 2, {0: 1, 1: 2, 2: 1}, d)
+    c.check_boundaries()
+    assert calls == []
+
+
 def test_fg_complex_equality():
     a = FGChainComplex(0, 1, {0: 1, 1: 1}, {1: Gf2Matrix.from_rows([[1]])})
     b = FGChainComplex(0, 1, {0: 1, 1: 1}, {1: Gf2Matrix.from_rows([[1]])})

@@ -4,7 +4,8 @@ Every label a `VerificationReport.add` call in the package can record must
 have a fault case here that makes its check fail, and every raise of
 `DecompositionFailure`, `NotInvertible` or `NotNilpotent` a case that
 reaches it. The inventory tests parse the source, so a check or a raise
-added without a fault case fails the suite.
+added without a fault case fails the suite. The perturbation route's
+complexes in the split basis each have a case that breaks d . d = 0.
 """
 
 import ast
@@ -14,11 +15,13 @@ import re
 import pytest
 
 import morsereduce
-from morsereduce.complexes import FGChainComplex, ReductionTriple, verify_reduction
+from morsereduce import perturbation
+from morsereduce.complexes import BoundaryViolation, FGChainComplex, ReductionTriple, verify_reduction
 from morsereduce.cubical import boundary_matrices, build_cubical
 from morsereduce.gf2 import Gf2Matrix, NotNilpotent
 from morsereduce.image import random_image
 from morsereduce.perturbation import (
+    Decomposition,
     DecompositionFailure,
     NotInvertible,
     bpl,
@@ -86,14 +89,17 @@ def hexagonal():
     return rc.nv, triple
 
 
+def flip(m, i, j):
+    """m with the bit in row i, column j flipped."""
+    return m + Gf2Matrix(m.rows, m.cols, [1 << j if r == i else 0 for r in range(m.rows)])
+
+
 @pytest.mark.parametrize("label", sorted(REDUCTION_FAULTS))
 def test_a_corrupted_triple_fails_the_check_of_its_label(hexagonal, label):
     nv, triple = hexagonal
     name, degree, i, j, failing = REDUCTION_FAULTS[label]
     j = nv if j == "nv" else j
-    good = getattr(triple, name)(degree)
-    bit = Gf2Matrix(good.rows, good.cols, [1 << j if r == i else 0 for r in range(good.rows)])
-    bad = good + bit
+    bad = flip(getattr(triple, name)(degree), i, j)
     maps = {m: getattr(triple, m) for m in "fgh"}
     maps[name] = lambda k: bad if k == degree else getattr(triple, name)(k)
     tampered = ReductionTriple(triple.big, triple.small, maps["f"], maps["g"], maps["h"])
@@ -205,3 +211,32 @@ def test_every_route_failure_has_a_fault_case():
 def test_a_constructed_input_raises_each_route_failure(error, fragment):
     with pytest.raises(error, match=re.escape(fragment)):
         ROUTE_FAULTS[error, fragment]()
+
+
+# In the split basis the first column of d(1) is a paired edge, which d21
+# sends onto its vertex, so flipping row 0 of d(2) breaks d(1) . d(2) = 0.
+def test_decompose_checks_its_conjugated_complex(hexagonal, monkeypatch):
+    _, triple = hexagonal
+    assert not decompose(triple).transformed.cx.d(1).split_cols(1)[0].is_zero()
+    product = perturbation._product
+
+    def flipping(left, m, right):
+        out = product(left, m, right)
+        return flip(out, 0, 0) if m is triple.big.d(2) else out
+
+    monkeypatch.setattr(perturbation, "_product", flipping)
+    with pytest.raises(BoundaryViolation, match=re.escape("d(1) . d(2) != 0")):
+        decompose(triple)
+
+
+def test_bpl_checks_its_perturbed_complex(hexagonal, monkeypatch):
+    _, triple = hexagonal
+    to_split = Decomposition.to_split
+
+    def flipping(self, m, row, col):
+        out = to_split(self, m, row, col)
+        return flip(out, 0, 0) if (row, col) == (1, 2) else out
+
+    monkeypatch.setattr(Decomposition, "to_split", flipping)
+    with pytest.raises(BoundaryViolation, match=re.escape("d(1) . d(2) != 0")):
+        bpl(triple, triple.big, 1)

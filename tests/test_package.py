@@ -1,4 +1,4 @@
-"""Tests of the package's public surface: the names each __all__ promises."""
+"""Tests of the package's surface: the names each __all__ promises, and no dead private helper."""
 
 import ast
 import importlib
@@ -47,3 +47,37 @@ def test_every_import_is_relative_or_from_the_standard_library():
                 if name.partition(".")[0] not in sys.stdlib_module_names
             ]
     assert outside == []
+
+
+def test_every_private_definition_is_used():
+    # A private function, method or class is there for a caller in the
+    # package: once a change removes its last use, the helper goes too.
+    # A use is a name, an attribute or an import anywhere but inside the
+    # definition itself.
+    defined: dict[str, str] = {}
+    used: dict[str, int] = {}
+    inside: dict[str, int] = {}
+
+    def uses(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                yield node.id
+            elif isinstance(node, ast.Attribute):
+                yield node.attr
+            elif isinstance(node, ast.alias):
+                yield node.name.rpartition(".")[2]
+
+    for path in sorted(pathlib.Path(morsereduce.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for name in uses(tree):
+            used[name] = used.get(name, 0) + 1
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = node.name
+                if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                    defined[name] = path.name
+                    inside[name] = inside.get(name, 0) + sum(n == name for n in uses(node))
+    unused = sorted(
+        (file, name) for name, file in defined.items() if used.get(name, 0) <= inside[name]
+    )
+    assert unused == []

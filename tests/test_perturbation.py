@@ -426,10 +426,14 @@ def test_vf_route_starts_from_the_trivial_block_reduction(monkeypatch, width, he
     assert trivial.h(0) == vstack(hstack(eye(nv), zeros(nv, s0)), hstack(zeros(s1, nv), zeros(s1, s0)))
 
 
-def test_certified_image_forms_the_boundary_product_only_where_fast_mode_does(monkeypatch):
-    # The five D1 . D2-shaped calls are those of fast mode: construction,
+def test_certified_image_forms_fast_modes_boundary_products_and_one_for_the_perturbed_complex(
+    monkeypatch,
+):
+    # Five D1 . D2-shaped calls are those of fast mode: construction,
     # checks["boundary"], reorder's copy, hexagonal_reduce and betti. The
-    # perturbation route builds its complexes from ones already checked.
+    # sixth is the check of bpl's perturbed complex in the split basis;
+    # the toy complex and decompose's conjugate of it have a zero d(2),
+    # so their checks form no product.
     img = random_image(24, 24, 0.6, 5)
     shapes = []
     mul = Gf2Matrix.mul
@@ -442,7 +446,7 @@ def test_certified_image_forms_the_boundary_product_only_where_fast_mode_does(mo
     res = pipeline.reduce_pipeline(img)
     monkeypatch.undo()
     assert res.ok and res.checks["bpl_match"] is True
-    assert shapes.count(res.original.dims()) == 5
+    assert shapes.count(res.original.dims()) == 6
 
 
 def count_verifications(monkeypatch, failing_in=()):
