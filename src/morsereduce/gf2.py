@@ -13,7 +13,7 @@ from bisect import bisect_left
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import repeat
-from operator import eq, le
+from operator import eq
 
 __all__ = [
     "Gf2Matrix",
@@ -269,12 +269,6 @@ class Gf2Matrix:
             count = sum(map(len, index))
         return count == self.rows and self.is_lower_unitriangular()
 
-    def _is_strictly_lower(self) -> bool:
-        # Row i qualifies exactly when it has no set bit at or above bit i.
-        return self.rows == self.cols and all(
-            map(le, map(int.bit_length, self.bits), range(self.rows))
-        )
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Gf2Matrix):
             return NotImplemented
@@ -401,12 +395,16 @@ class Gf2Matrix:
         of k steps along nonzero entries. In a strictly lower triangular
         matrix every step goes to a smaller index, so one pass over the set
         bits finds the longest chain from each row; if every chain has
-        fewer than k steps, self^k = 0 with no product. Any other case
-        computes pow(k).
+        fewer than k steps, self^k = 0 with no product. The pass stops at
+        the first row with a bit at or above its own index: then, as for a
+        chain of k steps or more or a matrix that is not square, pow(k)
+        decides.
         """
-        if self._is_strictly_lower():
+        if self.rows == self.cols:
             steps: list[int] = []  # steps[i]: the longest chain from row i
-            for word in self.bits:
+            for i, word in enumerate(self.bits):
+                if word >> i:  # not strictly lower triangular
+                    break
                 longest = 0
                 while word:
                     j = word.bit_length() - 1
@@ -550,12 +548,11 @@ class Gf2Matrix:
         Over GF(2) the sum telescopes, (I + self) S = I + self^bound, so it
         inverts I + self exactly when self^bound = 0, and is then that
         inverse. Whether self^bound = 0 is decided exactly by
-        _power_is_zero: a strictly lower triangular matrix whose chains of
-        nonzero entries are all shorter than bound needs no power, and any
-        other case computes self^bound. The inverse comes from forward
-        substitution when I + self is unit lower triangular and from
-        inverse() otherwise. Both (I + self) S = I and S (I + self) = I are
-        checked on the result.
+        _power_is_zero, whose one pass over the rows also tests that self
+        is strictly lower triangular (see there). The inverse is
+        inv_unit_lower_triangular(), the forward substitution, when
+        I + self is unit lower triangular, and inverse() otherwise. Both
+        (I + self) S = I and S (I + self) = I are checked on the result.
         """
         if self.rows != self.cols:
             raise ValueError(f"series needs a square matrix, got {self.rows}x{self.cols}")
@@ -565,8 +562,8 @@ class Gf2Matrix:
         if not self._power_is_zero(bound):
             raise NotNilpotent(f"matrix^{bound} is nonzero")
         one_plus = self + Gf2Matrix.identity(n)
-        if self._is_strictly_lower():
-            total = Gf2Matrix._raw(n, n, one_plus._forward(_unit_words(n)))
+        if one_plus.is_lower_unitriangular():
+            total = one_plus.inv_unit_lower_triangular()
         else:
             total = one_plus.inverse()
         if not (one_plus.mul(total).is_identity() and total.mul(one_plus).is_identity()):
@@ -940,16 +937,6 @@ class Permutation:
     @property
     def size(self) -> int:
         return len(self.image)
-
-    @classmethod
-    def identity(cls, n: int) -> Permutation:
-        return cls._raw(tuple(range(n)))
-
-    def inverse(self) -> Permutation:
-        inv = [0] * len(self.image)
-        for i, v in enumerate(self.image):
-            inv[v] = i
-        return Permutation._raw(tuple(inv))
 
     def __call__(self, i: int) -> int:
         return self.image[i]

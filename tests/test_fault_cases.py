@@ -4,7 +4,8 @@ Every label a `VerificationReport.add` call in the package can record must
 have a fault case here that makes its check fail, and every raise of
 `DecompositionFailure`, `NotInvertible` or `NotNilpotent` a case that
 reaches it. The inventory tests parse the source, so a check or a raise
-added without a fault case fails the suite. The perturbation route's
+added without a fault case fails the suite. Each typed failure is raised
+alike when every matrix also holds its index. The perturbation route's
 complexes in the split basis each have a case that breaks d . d = 0.
 """
 
@@ -211,6 +212,34 @@ def test_every_route_failure_has_a_fault_case():
 def test_a_constructed_input_raises_each_route_failure(error, fragment):
     with pytest.raises(error, match=re.escape(fragment)):
         ROUTE_FAULTS[error, fragment]()
+
+
+@pytest.mark.parametrize("error, fragment", sorted(ROUTE_FAULTS, key=str))
+def test_each_route_failure_is_raised_alike_when_every_matrix_holds_its_index(
+    error, fragment, monkeypatch
+):
+    # The same case twice: as it stands, then with every matrix made from
+    # words also holding its index, the form the index-reading paths take.
+    with pytest.raises(error, match=re.escape(fragment)) as plain:
+        ROUTE_FAULTS[error, fragment]()
+    set_slots = Gf2Matrix._set_slots
+    indexed = []
+
+    def with_index(self, rows, cols, bits, index):
+        if bits is not None and index is None:
+            index = tuple(tuple(j for j in range(cols) if word >> j & 1) for word in bits)
+            indexed.append(self)
+        return set_slots(self, rows, cols, bits, index)
+
+    monkeypatch.setattr(Gf2Matrix, "_set_slots", with_index)
+    # The cases read these constants, so they are made again with an index.
+    monkeypatch.setitem(globals(), "ONE", Gf2Matrix.identity(1))
+    monkeypatch.setitem(globals(), "LINE", FGChainComplex(0, 1, {0: 1, 1: 1}, {1: ONE}))
+    monkeypatch.setitem(globals(), "FLAT", FGChainComplex(0, 1, {0: 1, 1: 1}))
+    with pytest.raises(error) as again:
+        ROUTE_FAULTS[error, fragment]()
+    assert indexed and ONE._index == ((0,),)
+    assert type(again.value) is type(plain.value) and str(again.value) == str(plain.value)
 
 
 # In the split basis the first column of d(1) is a paired edge, which d21

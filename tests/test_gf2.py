@@ -31,6 +31,15 @@ def random_matrix(rng, rows, cols, density=0.5):
     )
 
 
+def identity_perm(n):
+    return Permutation(tuple(range(n)))
+
+
+def inverse_perm(p):
+    """The permutation that sends p(i) back to i."""
+    return Permutation(tuple(sorted(range(p.size), key=p)))
+
+
 def test_constructor_validation():
     with pytest.raises(ValueError):
         Gf2Matrix(2, 2, [0b100, 0])  # bit outside columns
@@ -220,7 +229,7 @@ def full_rank_wide(draw, square=False):
     perm = draw(st.permutations(range(c)))
     base = hstack(Gf2Matrix.identity(r), Gf2Matrix(r, c - r, right))
     m = Gf2Matrix(r, r, lower).mul(Gf2Matrix(r, r, upper)).mul(base)
-    m = m.permute(Permutation.identity(r), Permutation(tuple(perm)))
+    m = m.permute(identity_perm(r), Permutation(tuple(perm)))
     assert m.rank() == r
     return m
 
@@ -410,7 +419,7 @@ def narrow_products(draw):
         shuffle = list(range(inner))
         rng.shuffle(shuffle)
         p = Permutation(tuple(shuffle))
-        return a.permute(Permutation.identity(n), p), b.permute(p, Permutation.identity(n))
+        return a.permute(identity_perm(n), p), b.permute(p, identity_perm(n))
     inner, cols = draw(st.integers(0, 2000)), draw(st.integers(0, 70))
     rows = draw(SMALL)
     a = Gf2Matrix(rows, inner, words(rows, inner))
@@ -475,10 +484,10 @@ def test_permute_with_fixed_columns_moves_the_row_words_themselves(m, seed):
     rows = list(range(m.rows))
     rng.shuffle(rows)
     perm = Permutation(tuple(rows))
-    _, got = gf2._permute_pair(Gf2Matrix.zeros(0, m.rows), m, Permutation.identity(0), perm)
+    _, got = gf2._permute_pair(Gf2Matrix.zeros(0, m.rows), m, identity_perm(0), perm)
     assert got.to_rows() == oracle.permute(m.to_rows(), rows, list(range(m.cols)))
     assert all(got.bits[i] is word for i, word in zip(rows, m.bits))
-    assert m.permute(perm, Permutation.identity(m.cols)) == got
+    assert m.permute(perm, identity_perm(m.cols)) == got
 
 
 @st.composite
@@ -531,7 +540,7 @@ def test_permute_pair_carries_the_zero_record_that_names_the_right_factor(monkey
     d1, d2, rows, mid = boundary_pair()
     assert d1.mul(d2).is_zero() and d1._record[0] is d2
     d1p, d2p = gf2._permute_pair(d1, d2, rows, mid)
-    assert d1p == d1.permute(rows, mid) and d2p == d2.permute(mid, Permutation.identity(1))
+    assert d1p == d1.permute(rows, mid) and d2p == d2.permute(mid, identity_perm(1))
     assert d1p._record[0] is d2p and d1p._record[1] is False
     loops = []
     loop = gf2._mul_rows
@@ -558,7 +567,7 @@ def test_permute_pair_carries_no_other_record():
     for left, right in cases:
         assert left._record is None or left._record[0] is not right or left._record[1]
         left_p, _ = gf2._permute_pair(
-            left, right, Permutation.identity(left.rows), Permutation.identity(left.cols)
+            left, right, identity_perm(left.rows), identity_perm(left.cols)
         )
         assert left_p._record is None
 
@@ -608,7 +617,7 @@ def index_makers(m, rng):
     extra_cols = Gf2Matrix(m.rows, 3, sparse_words(rng, m.rows, 3))
     makers = {
         "transpose": lambda: m.transpose().transpose(),
-        "permute": lambda: m.permute(p, q).permute(p.inverse(), q.inverse()),
+        "permute": lambda: m.permute(p, q).permute(inverse_perm(p), inverse_perm(q)),
         "split_rows_top": lambda: parsed(vstack(m, extra_rows)).split_rows(m.rows)[0],
         "split_rows_bottom": lambda: parsed(vstack(extra_rows, m)).split_rows(2)[1],
         "split_cols_left": lambda: parsed(hstack(m, extra_cols)).split_cols(m.cols)[0],
@@ -1193,6 +1202,12 @@ def test_power_is_zero_forms_no_power_when_every_chain_is_shorter(monkeypatch):
     assert not m._power_is_zero(1) and powers == [2, 1]
     assert Gf2Matrix(2, 2, [0b10, 0])._power_is_zero(5)  # not lower: the power decides
     assert powers == [2, 1, 5]
+    # Strictly lower until row 2 sets its diagonal bit: the walk stops
+    # there, and one power decides.
+    assert not Gf2Matrix(3, 3, [0, 0b1, 0b101])._power_is_zero(4)
+    assert powers == [2, 1, 5, 4]
+    with pytest.raises(ValueError, match="pow needs a square matrix, got 2x3"):
+        Gf2Matrix(2, 3, [0, 0b1])._power_is_zero(4)
 
 
 def random_unit_lower(rng, n, per_row):
@@ -1300,22 +1315,52 @@ def test_a_pin_that_does_not_hold_is_dropped_for_the_row_loop():
     lower = random_unit_lower(rng, 60, 2)
     rhs = random_matrix(rng, 60, 20, 0.3)
     b = random_matrix(rng, 60, 30)
+    b2 = random_matrix(rng, 63, 30)
     x = random_matrix(rng, 20, 30)
-    cases = []
     h = pinned_homotopy(lower, 0, 1, 0)
-    cases.append((h, 59, 3))  # one bit of U flipped
-    cases.append((h, 60, 0))  # a bit set in the zero rows
+    h2 = pinned_homotopy(lower, 2, 1, 1)
     g = pinned_lift(lower, rhs, 1)
-    cases.append((g, 0, 7))  # one bit of the lift flipped
-    cases.append((g, 60, 2))  # a bit set in the zero rows
-    cases.append((g, 61, 1))  # the identity block broken
-    for m, i, j in cases:
+    g0 = pinned_lift(lower, rhs, 0)
+    assert all(m._pin.holds(m) for m in (h, h2, g, g0))
+
+    def pinned(m, pin):
+        """A fresh matrix with m's bits and the claim pin."""
+        bad = Gf2Matrix(m.rows, m.cols, m.bits)
+        object.__setattr__(bad, "_pin", pin)
+        return bad
+
+    def flipped(m, i, j):
+        """m with bit (i, j) flipped, under m's own claim."""
         bits = list(m.bits)
         bits[i] ^= 1 << j
-        bad = Gf2Matrix(m.rows, m.cols, bits)
-        object.__setattr__(bad, "_pin", gf2._Pin(m._pin.lower, m._pin.rhs, m._pin.offset))
-        right = b if m is h else x
-        assert m._pin.holds(m) and not bad._pin.holds(bad)
+        pin = gf2._Pin(m._pin.lower, m._pin.rhs, m._pin.offset)
+        return pinned(Gf2Matrix(m.rows, m.cols, bits), pin)
+
+    # L's first two rows swapped: invertible, not unit lower triangular,
+    # and with its inverse as the top rows L U = I holds.
+    not_unit = Gf2Matrix(60, 60, (lower.bits[1], lower.bits[0]) + lower.bits[2:])
+    u = not_unit.inverse()
+    not_unit_h = Gf2Matrix(61, 60, u.bits + (0,))
+    empty = gf2._Pin(Gf2Matrix.identity(0), offset=4)  # a = 0, at a column past the end
+    cases = [
+        (flipped(h, 59, 3), b),  # one bit of U flipped
+        (flipped(h, 60, 0), b),  # a bit set in the zero rows
+        (flipped(g, 0, 7), x),  # one bit of the lift flipped
+        (flipped(g, 60, 2), x),  # a bit set in the zero rows
+        (flipped(g, 61, 1), x),  # the identity block broken
+        (pinned(not_unit_h, gf2._Pin(not_unit)), b),  # L is not unit lower triangular
+        (pinned(h.split_rows(59)[0], gf2._Pin(lower)), b),  # fewer than a rows
+        # Fewer than offset + a columns. With a > 0, U's band would not
+        # fit either; with a = 0 no other clause fails.
+        (pinned(Gf2Matrix.zeros(2, 3), empty), x.split_rows(3)[0]),
+        # A bit left of U's band: U itself is intact, so L U = I still holds.
+        (flipped(h2, 5, 0), b2),
+        # T is not a x c: one row short, and its rows are L lift's first rows.
+        (pinned(g, gf2._Pin(lower, rhs.split_rows(59)[0])), x),
+        (pinned(g0.split_rows(79)[0], gf2._Pin(lower, rhs)), x),  # fewer than a + c rows
+    ]
+    for bad, right in cases:
+        assert not bad._pin.holds(bad)
         got = bad.mul(right)
         assert bad._pin is None
         assert got.to_rows() == oracle.mat_mul(bad.to_rows(), right.to_rows(), right.cols)
@@ -1329,18 +1374,16 @@ def test_permute_relocates_entries():
     for i in range(2):
         for j in range(3):
             assert p.get(rp(i), cp(j)) == m.get(i, j)
-    assert m.permute(Permutation.identity(2), Permutation.identity(3)) == m
+    assert m.permute(identity_perm(2), identity_perm(3)) == m
 
 
-def test_permutation_validation_and_inverse():
+def test_permutation_validation_and_call():
     with pytest.raises(ValueError):
         Permutation((0, 0))
     with pytest.raises(ValueError):
         Permutation((0, 2))
     p = Permutation((2, 0, 1))
-    assert p.inverse().image == (1, 2, 0)
-    assert p.inverse().inverse() == p
-    assert Permutation.identity(3)(1) == 1
+    assert [p(i) for i in range(3)] == [2, 0, 1] and p.size == 3
 
 
 @pytest.mark.parametrize(
