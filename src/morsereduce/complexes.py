@@ -1,9 +1,8 @@
-"""Finitely generated chain complexes over GF(2) and reductions between them.
+"""Chain complexes over GF(2) in degrees 0, 1 and 2, and reductions between them.
 
-A complex stores one free module per degree in a window [lo, hi] and the
-boundary matrices between consecutive degrees, in the column convention:
-d(k) has dim(k-1) rows and dim(k) columns, and chains are column vectors.
-Everything outside the window is the zero module.
+A complex is the pair of boundary matrices D1 and D2 with D1 . D2 = 0, in
+the column convention: d(k) has dim(k-1) rows and dim(k) columns, and
+chains are column vectors. Every module outside degrees 0..2 is zero.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from .verification import VerificationReport
 
 __all__ = [
     "BoundaryViolation",
-    "FGChainComplex",
     "TruncatedComplex",
     "ReductionTriple",
     "betti",
@@ -28,126 +26,76 @@ class BoundaryViolation(Exception):
     """Raised when claimed boundary matrices do not compose to zero."""
 
 
-class FGChainComplex:
-    """A chain complex concentrated in degrees lo..hi with d(k) . d(k+1) = 0.
+class TruncatedComplex:
+    """The chain complex C2 -> C1 -> C0 given by D1 and D2 with D1 . D2 = 0.
 
     Every complex, the perturbation route's included, is checked when built.
     """
 
-    __slots__ = ("lo", "hi", "_dims", "_d")
+    __slots__ = ("d1", "d2")
 
-    def __init__(
-        self,
-        lo: int,
-        hi: int,
-        dims: Mapping[int, int],
-        d: Mapping[int, Gf2Matrix] | None = None,
-    ):
-        if lo > hi:
-            raise ValueError(f"empty degree window [{lo}, {hi}]")
-        self._dims: dict[int, int] = {}
-        for k, n in dims.items():
-            if not lo <= k <= hi:
-                if n:
-                    raise ValueError(f"degree {k} outside window [{lo}, {hi}]")
-                continue
-            if n < 0:
-                raise ValueError(f"negative dimension {n} in degree {k}")
-            self._dims[k] = n
-        self.lo, self.hi = lo, hi
-        self._d: dict[int, Gf2Matrix] = {}
-        for k, m in (d or {}).items():
-            if k <= lo or k > hi:
-                if not m.is_zero():
-                    raise ValueError(f"nonzero differential at degree {k} outside ({lo}, {hi}]")
-                continue
-            if m.rows != self.dim(k - 1) or m.cols != self.dim(k):
-                raise ValueError(
-                    f"d({k}) is {m.rows}x{m.cols}, expected {self.dim(k - 1)}x{self.dim(k)}"
-                )
-            self._d[k] = m
+    def __init__(self, d1: Gf2Matrix, d2: Gf2Matrix):
+        if d1.cols != d2.rows:
+            raise ValueError(f"d(2) is {d2.rows}x{d2.cols}, expected {d1.cols}x{d2.cols}")
+        self.d1 = d1
+        self.d2 = d2
         self.check_boundaries()
 
     def check_boundaries(self) -> None:
-        """Raise BoundaryViolation unless d(k) . d(k+1) = 0 in every degree.
+        """Raise BoundaryViolation unless D1 . D2 = 0.
 
-        A degree where d(k) or d(k+1) is_zero() is answered without a product.
+        Where D1 or D2 is_zero() it is answered without a product.
         """
-        for k in range(self.lo + 1, self.hi):
-            left, right = self.d(k), self.d(k + 1)
-            if not (left.is_zero() or right.is_zero() or left.mul(right).is_zero()):
-                raise BoundaryViolation(f"d({k}) . d({k + 1}) != 0")
-
-    def dim(self, k: int) -> int:
-        return self._dims.get(k, 0)
-
-    def d(self, k: int) -> Gf2Matrix:
-        """Boundary matrix in degree k; implicit zero outside the stored range."""
-        stored = self._d.get(k)
-        if stored is not None:
-            return stored
-        return Gf2Matrix.zeros(self.dim(k - 1), self.dim(k))
-
-    def degrees(self) -> range:
-        return range(self.lo, self.hi + 1)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FGChainComplex):
-            return NotImplemented
-        return (
-            self.lo == other.lo
-            and self.hi == other.hi
-            and all(self.dim(k) == other.dim(k) for k in self.degrees())
-            and all(self.d(k) == other.d(k) for k in self.degrees())
-        )
-
-    def __repr__(self) -> str:
-        dims = ", ".join(f"{k}: {self.dim(k)}" for k in self.degrees())
-        return f"<{type(self).__name__} [{self.lo}, {self.hi}] dims {{{dims}}}>"
-
-
-class TruncatedComplex(FGChainComplex):
-    """The [0, 2] window of FGChainComplex, built from D1 and D2 with D1 . D2 = 0."""
-
-    __slots__ = ()
-
-    def __init__(self, d1: Gf2Matrix, d2: Gf2Matrix):
-        super().__init__(0, 2, {0: d1.rows, 1: d1.cols, 2: d2.cols}, {1: d1, 2: d2})
-
-    @property
-    def d1(self) -> Gf2Matrix:
-        return self.d(1)
-
-    @property
-    def d2(self) -> Gf2Matrix:
-        return self.d(2)
+        d1, d2 = self.d1, self.d2
+        if not (d1.is_zero() or d2.is_zero() or d1.mul(d2).is_zero()):
+            raise BoundaryViolation("d(1) . d(2) != 0")
 
     @property
     def c0(self) -> int:
-        return self.dim(0)
+        return self.d1.rows
 
     @property
     def c1(self) -> int:
-        return self.dim(1)
+        return self.d1.cols
 
     @property
     def c2(self) -> int:
-        return self.dim(2)
+        return self.d2.cols
 
     def dims(self) -> tuple[int, int, int]:
-        return (self.c0, self.c1, self.c2)
+        return (self.d1.rows, self.d1.cols, self.d2.cols)
+
+    def dim(self, k: int) -> int:
+        return self.dims()[k] if 0 <= k <= 2 else 0
+
+    def d(self, k: int) -> Gf2Matrix:
+        """D1 or D2 in degree 1 or 2, and the zero map in every other degree."""
+        if k == 1:
+            return self.d1
+        if k == 2:
+            return self.d2
+        return Gf2Matrix.zeros(self.dim(k - 1), self.dim(k))
+
+    def degrees(self) -> range:
+        return range(3)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TruncatedComplex):
+            return NotImplemented
+        return self.d1 == other.d1 and self.d2 == other.d2
+
+    def __repr__(self) -> str:
+        return f"<TruncatedComplex dims {self.dims()}>"
 
 
-def betti(c: FGChainComplex) -> dict[int, int]:
+def betti(c: TruncatedComplex) -> dict[int, int]:
     """Betti numbers over GF(2): dim(k) - rank d(k) - rank d(k+1) per degree."""
     c.check_boundaries()
-    ranks = {k: c.d(k).rank() for k in range(c.lo, c.hi + 2)}
-    out = {}
-    for k in c.degrees():
-        b = c.dim(k) - ranks[k] - ranks.get(k + 1, 0)
+    r1, r2 = c.d1.rank(), c.d2.rank()
+    out = {0: c.c0 - r1, 1: c.c1 - r1 - r2, 2: c.c2 - r2}
+    for k, b in out.items():
         if b < 0:
             raise BoundaryViolation(f"negative betti number in degree {k}")
-        out[k] = b
     return out
 
 
@@ -168,14 +116,12 @@ class ReductionTriple:
 
     def __init__(
         self,
-        big: FGChainComplex,
-        small: FGChainComplex,
+        big: TruncatedComplex,
+        small: TruncatedComplex,
         f: Mapping[int, Gf2Matrix] | Callable[[int], Gf2Matrix | None],
         g: Mapping[int, Gf2Matrix] | Callable[[int], Gf2Matrix | None],
         h: Mapping[int, Gf2Matrix] | Callable[[int], Gf2Matrix | None],
     ):
-        if (big.lo, big.hi) != (small.lo, small.hi):
-            raise ValueError("big and small complexes must share a degree window")
         self.big = big
         self.small = small
         self._build: dict[str, Callable[[int], Gf2Matrix | None]] = {}

@@ -95,8 +95,8 @@ def boundary_matrices(cx: CubicalComplex) -> TruncatedComplex:
     """Mod-2 boundary matrices: D1 (vertices x edges) and D2 (edges x squares).
 
     D1[v][e] = 1 iff v is an endpoint of e; D2[e][s] = 1 iff e is a side of s.
-    The result is the [0, 2] window of an FGChainComplex, whose constructor
-    checks D1 . D2 = 0; it is passed on as it is, never rebuilt.
+    The result is a TruncatedComplex, whose constructor checks
+    D1 . D2 = 0; it is passed on as it is, never rebuilt.
 
     The cell lists are the index rows of the transposes: cx.edges holds
     each edge's two vertices and cx.squares each square's four sides,

@@ -704,7 +704,8 @@ class _Pin:
         else:
             c = m.cols
             b = m.rows - a - c
-            if (rhs.rows, rhs.cols) != (a, c) or b < 0 or rest != (0,) * b + tuple(_unit_words(c)):
+            # With fewer than a + c rows, rest is shorter than I's c rows.
+            if (rhs.rows, rhs.cols) != (a, c) or rest != (0,) * b + tuple(_unit_words(c)):
                 return False
             band, target = top, rhs.bits
         return all(map(eq, _row_products(lower, band), target))

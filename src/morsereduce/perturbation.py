@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-from .complexes import FGChainComplex, ReductionTriple, verify_reduction
+from .complexes import ReductionTriple, TruncatedComplex, verify_reduction
 from .gf2 import Gf2Matrix, NotNilpotent, Singular, hstack, vstack
 from .reduction import ReorderedComplex, SplitComplex, _eliminate
 from .verification import VerificationError
@@ -138,14 +138,10 @@ def decompose(r: ReductionTriple) -> Decomposition:
                 raise DecompositionFailure(f"degree {k}: parts are not independent") from exc
         splits[k] = (a_basis.cols, b_basis.cols, g_k.cols)
 
-    dims = {k: big.dim(k) for k in big.degrees()}
-    d_new = {
-        k: _product(phi_inv[k - 1], big.d(k), phi[k])
-        for k in range(big.lo + 1, big.hi + 1)
-    }
-    transformed = SplitComplex(FGChainComplex(big.lo, big.hi, dims, d_new), splits)
+    d_new = [_product(phi_inv[k - 1], big.d(k), phi[k]) for k in (1, 2)]
+    transformed = SplitComplex(TruncatedComplex(*d_new), splits)
 
-    for k in range(big.lo + 1, big.hi + 1):
+    for k in (1, 2):
         blocks = transformed.blocks(k)
         for i in range(3):
             for j in range(3):
@@ -183,9 +179,8 @@ def hexagonal_general(
     passes verify_reduction before it is returned; verify=False leaves
     that to a caller that checks an equivalent triple itself.
     """
-    lo, hi = sc.cx.lo, sc.cx.hi
     u: dict[int, Gf2Matrix] = {}
-    for k in range(lo, hi + 2):
+    for k in range(4):
         a_k = sc.split(k)[0]
         b_prev = sc.split(k - 1)[1]
         if a_k != b_prev:
@@ -215,14 +210,14 @@ def hexagonal_general(
 
 
 def bpl(
-    r: ReductionTriple, target: FGChainComplex, m: int, *, verify: bool = True
+    r: ReductionTriple, target: TruncatedComplex, m: int, *, verify: bool = True
 ) -> ReductionTriple:
     """Carry a reduction across a perturbation of its big differential.
 
-    target is the perturbed complex, with r.big's window and modules
-    (ValueError otherwise). The perturbation delta(k) = r.big.d(k) +
-    target.d(k) must satisfy pow(delta(k) h(k-1), m) = 0 in every degree
-    (checked; NotNilpotent otherwise). The big complex is first
+    target is the perturbed complex, with r.big's modules (ValueError
+    otherwise). The perturbation delta(k) = r.big.d(k) + target.d(k)
+    must satisfy pow(delta(k) h(k-1), m) = 0 in every degree (checked;
+    NotNilpotent otherwise). The big complex is first
     decomposed, delta and h are transported into the split basis, the
     perturbed pivot (I + delta21 h12) d21 is inverted through the finite
     series of delta21 h12, and the rebuilt reduction is conjugated back.
@@ -244,26 +239,24 @@ def bpl(
     itself.
     """
     big = r.big
-    lo, hi = big.lo, big.hi
-    dims = {k: big.dim(k) for k in big.degrees()}
-    if (target.lo, target.hi) != (lo, hi) or any(target.dim(k) != n for k, n in dims.items()):
-        raise ValueError("target complex differs from the big complex in its window or modules")
-    delta = {k: big.d(k) + target.d(k) for k in range(lo + 1, hi + 1)}
-    for k, delta_k in delta.items():
+    if target.dims() != big.dims():
+        raise ValueError("target complex differs from the big complex in its modules")
+    delta = (big.d1 + target.d1, big.d2 + target.d2)
+    for k, delta_k in enumerate(delta, 1):
         if not delta_k.mul(r.h(k - 1))._power_is_zero(m):
             raise NotNilpotent(f"delta h is not annihilated by exponent {m} in degree {k}")
 
     dec = decompose(r)
-    d_pert = {
-        k: dec.transformed.cx.d(k) + dec.to_split(delta_k, k - 1, k)
-        for k, delta_k in delta.items()
-    }
-    pert_split = SplitComplex(FGChainComplex(lo, hi, dims, d_pert), dec.splits)
+    d_pert = [
+        dec.transformed.cx.d(k) + dec.to_split(delta_k, k - 1, k)
+        for k, delta_k in enumerate(delta, 1)
+    ]
+    pert_split = SplitComplex(TruncatedComplex(*d_pert), dec.splits)
 
-    # Transported homotopy must live entirely in its (1, 2) block. h(hi)
-    # maps into the zero module above the window, so it has no block.
+    # Transported homotopy must live entirely in its (1, 2) block. h(2)
+    # maps into the zero module in degree 3, so it has no block.
     h12: dict[int, Gf2Matrix] = {}
-    for k in range(lo, hi):
+    for k in (0, 1):
         ht = dec.to_split(r.h(k), k + 1, k)
         a_k, b_k, _ = dec.splits[k]
         top, rest = ht.split_rows(dec.splits[k + 1][0])
@@ -276,7 +269,7 @@ def bpl(
         h12[k] = mid
 
     pivots: dict[int, Gf2Matrix] = {}
-    for k in range(lo + 1, hi + 1):
+    for k in (1, 2):
         if dec.splits[k][0] == 0:
             continue
         delta21 = pert_split.blocks(k)[1][0] + dec.transformed.blocks(k)[1][0]
@@ -285,9 +278,9 @@ def bpl(
 
     inner = hexagonal_general(pert_split, pivots, verify=False)
 
-    f = {k: dec.from_split(inner.f(k), None, k) for k in range(lo, hi + 1)}
-    g = {k: dec.from_split(inner.g(k), k, None) for k in range(lo, hi + 1)}
-    h = {k: dec.from_split(inner.h(k), k + 1, k) for k in range(lo, hi)}
+    f = {k: dec.from_split(inner.f(k), None, k) for k in range(3)}
+    g = {k: dec.from_split(inner.g(k), k, None) for k in range(3)}
+    h = {k: dec.from_split(inner.h(k), k + 1, k) for k in (0, 1)}
     triple = ReductionTriple(target, inner.small, f, g, h)
     if verify:
         report = verify_reduction(triple)
@@ -322,7 +315,7 @@ def vf_reduction_via_bpl(rc: ReorderedComplex, *, verify: bool = True) -> Reduct
     c0, c1, c2 = rc.original.dims()
     nv = rc.nv
     toy = Gf2Matrix(c0, c1, [1 << i for i in range(nv)] + [0] * (c0 - nv))
-    base = FGChainComplex(0, 2, {0: c0, 1: c1, 2: c2}, {1: toy})
+    base = TruncatedComplex(toy, Gf2Matrix.zeros(c1, c2))
     split = SplitComplex(base, {k: rc.split.split(k) for k in base.degrees()})
     trivial = _eliminate(split, {1: Gf2Matrix.identity(nv)})
     return bpl(trivial, rc.reordered, nv + 1, verify=verify)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-from .complexes import FGChainComplex, ReductionTriple, TruncatedComplex
+from .complexes import ReductionTriple, TruncatedComplex
 from .gf2 import Gf2Matrix, Permutation, _permute_pair, _Pin
 from .vectorfield import DiscreteVectorField
 
@@ -34,7 +34,7 @@ class SplitComplex:
 
     __slots__ = ("cx", "_splits", "_blocks")
 
-    def __init__(self, cx: FGChainComplex, splits: Mapping[int, tuple[int, int, int]]):
+    def __init__(self, cx: TruncatedComplex, splits: Mapping[int, tuple[int, int, int]]):
         self.cx = cx
         self._splits: dict[int, tuple[int, int, int]] = {}
         for k, (a, b, c) in splits.items():
@@ -145,19 +145,15 @@ def _eliminate(sc: SplitComplex, u: Mapping[int, Gf2Matrix]) -> ReductionTriple:
     computed here; f, g and h are built the first time they are read.
     """
     cx = sc.cx
-    lo, hi = cx.lo, cx.hi
     empty = Gf2Matrix.zeros(0, 0)
     d_small: dict[int, Gf2Matrix] = {}
     d31_u: dict[int, Gf2Matrix] = {}  # formed once: feeds d_small and f
-    for k in range(lo + 1, hi + 1):
+    for k in (1, 2):
         blocks = sc.blocks(k)
         d31_u[k] = blocks[2][0].mul(u.get(k, empty))
         # A zero bridge, as where no A part lies below, leaves d33 as it is.
         d_small[k] = blocks[2][2] + d31_u[k].mul(blocks[1][2])
-    if (lo, hi) == (0, 2):  # keep the c0..c2, d1, d2 view that callers read
-        small = TruncatedComplex(d_small[1], d_small[2])
-    else:
-        small = FGChainComplex(lo, hi, {k: sc.split(k)[2] for k in cx.degrees()}, d_small)
+    small = TruncatedComplex(d_small[1], d_small[2])
 
     # In the A, B, C blocks: f(k) = [0 | d31 u | I], g(k) = [u d23; 0; I] and
     # h(k) = [0 u 0; 0 0 0], each assembled directly from row words. Since
@@ -167,14 +163,14 @@ def _eliminate(sc: SplitComplex, u: Mapping[int, Gf2Matrix]) -> ReductionTriple:
     # also pins g and h (gf2._Pin), so that products with them on the
     # left are solved through d21 too, once mul has checked the pin.
     def f(k: int) -> Gf2Matrix | None:
-        if not lo <= k <= hi:
+        if not 0 <= k <= 2:
             return None
         a, b, c = sc.split(k)
-        proj = d31_u[k + 1].bits if k < hi else (0,) * c
+        proj = d31_u[k + 1].bits if k < 2 else (0,) * c
         return Gf2Matrix(c, a + b + c, [p << a | 1 << (a + b + i) for i, p in enumerate(proj)])
 
     def g(k: int) -> Gf2Matrix | None:
-        if not lo <= k <= hi:
+        if not 0 <= k <= 2:
             return None
         a, b, c = sc.split(k)
         _, (d21, _, d23), _ = sc.blocks(k)
@@ -189,7 +185,7 @@ def _eliminate(sc: SplitComplex, u: Mapping[int, Gf2Matrix]) -> ReductionTriple:
         return m
 
     def h(k: int) -> Gf2Matrix | None:
-        if not lo <= k <= hi:
+        if not 0 <= k <= 2:
             return None
         a, b, c = sc.split(k)
         top = [w << a for w in u.get(k + 1, empty).bits]

@@ -4,7 +4,6 @@ import pytest
 
 from morsereduce.complexes import (
     BoundaryViolation,
-    FGChainComplex,
     ReductionTriple,
     TruncatedComplex,
     betti,
@@ -24,39 +23,52 @@ def test_truncated_complex_validates_composition():
     assert t.dims() == (2, 3, 1)
 
 
-def test_fg_complex_accessors_and_validation():
+def test_complex_accessors_and_validation():
     d1 = Gf2Matrix.from_rows([[1, 1], [1, 1]])
-    c = FGChainComplex(0, 2, {0: 2, 1: 2, 2: 0}, {1: d1})
+    c = TruncatedComplex(d1, Gf2Matrix.zeros(2, 0))
     assert c.dim(0) == 2 and c.dim(2) == 0 and c.dim(7) == 0
-    assert c.d(1) == d1
+    assert c.d(1) is c.d1 is d1
     assert c.d(2) == Gf2Matrix.zeros(2, 0)
-    assert c.d(0) == Gf2Matrix.zeros(0, 2)
     assert list(c.degrees()) == [0, 1, 2]
-    with pytest.raises(ValueError):
-        FGChainComplex(2, 0, {})
-    with pytest.raises(ValueError):
-        FGChainComplex(0, 1, {0: 1, 1: 1, 5: 2})
-    with pytest.raises(ValueError):
-        FGChainComplex(0, 1, {0: 2, 1: 1}, {1: Gf2Matrix.zeros(3, 1)})
+    assert (c.c0, c.c1, c.c2) == c.dims() == (2, 2, 0)
+    with pytest.raises(ValueError, match=r"d\(2\) is 3x1, expected 2x1"):
+        TruncatedComplex(d1, Gf2Matrix.zeros(3, 1))
 
 
-def test_fg_complex_rejects_nonsquaring_differential():
-    d1 = Gf2Matrix.from_rows([[1]])
-    d2 = Gf2Matrix.from_rows([[1]])
-    with pytest.raises(BoundaryViolation):
-        FGChainComplex(0, 2, {0: 1, 1: 1, 2: 1}, {1: d1, 2: d2})
+def test_complex_is_zero_outside_degrees_zero_to_two():
+    d1 = Gf2Matrix.from_rows([[1, 1, 0], [1, 1, 0]])
+    d2 = Gf2Matrix.from_rows([[1, 0], [1, 0], [0, 0]])
+    c = TruncatedComplex(d1, d2)
+    assert c.d(0) == Gf2Matrix.zeros(0, 2) and c.d(3) == Gf2Matrix.zeros(2, 0)
+    assert c.d(0).is_zero() and c.d(3).is_zero()
+    assert c.dim(-1) == c.dim(3) == 0
+    with pytest.raises(ValueError):
+        TruncatedComplex(d1, Gf2Matrix.zeros(2, 2))
+    with pytest.raises(ValueError):
+        TruncatedComplex(Gf2Matrix.zeros(3, 2), d2)
+    # Equality reads both matrices: the same D1 with another D2 differs.
+    assert c == TruncatedComplex(d1, Gf2Matrix.from_rows([[1, 0], [1, 0], [0, 0]]))
+    assert c != TruncatedComplex(d1, Gf2Matrix.zeros(3, 2))
+    assert c != TruncatedComplex(Gf2Matrix.zeros(2, 3), d2)
+
+
+def test_complex_rejects_nonsquaring_differential():
+    d1 = Gf2Matrix.from_rows([[1, 1, 0]])
+    d2 = Gf2Matrix.from_rows([[1], [0], [1]])
+    with pytest.raises(BoundaryViolation, match=r"d\(1\) \. d\(2\) != 0"):
+        TruncatedComplex(d1, d2)
 
 
 @pytest.mark.parametrize(
-    "d",
+    "d1, d2",
     [
-        {1: Gf2Matrix.from_rows([[1, 1]])},  # d(2) implicit zero
-        {1: Gf2Matrix.from_rows([[1, 1]]), 2: Gf2Matrix.zeros(2, 1)},
-        {2: Gf2Matrix.from_rows([[1], [1]])},  # d(1) implicit zero
-        {1: Gf2Matrix.zeros(1, 2), 2: Gf2Matrix.from_rows([[1], [1]])},
+        (Gf2Matrix.from_rows([[1, 1]]), Gf2Matrix.zeros(2, 1)),
+        (Gf2Matrix.from_rows([[1, 1]]), Gf2Matrix.zeros(2, 0)),  # no module in degree 2
+        (Gf2Matrix.zeros(1, 2), Gf2Matrix.from_rows([[1], [1]])),
+        (Gf2Matrix.zeros(1, 2), Gf2Matrix.zeros(2, 1)),
     ],
 )
-def test_a_zero_differential_is_checked_without_a_product(monkeypatch, d):
+def test_a_zero_differential_is_checked_without_a_product(monkeypatch, d1, d2):
     calls = []
     mul = Gf2Matrix.mul
 
@@ -65,20 +77,20 @@ def test_a_zero_differential_is_checked_without_a_product(monkeypatch, d):
         return mul(a, b)
 
     monkeypatch.setattr(Gf2Matrix, "mul", counting)
-    c = FGChainComplex(0, 2, {0: 1, 1: 2, 2: 1}, d)
+    c = TruncatedComplex(d1, d2)
     c.check_boundaries()
     assert calls == []
 
 
-def test_fg_complex_equality():
-    a = FGChainComplex(0, 1, {0: 1, 1: 1}, {1: Gf2Matrix.from_rows([[1]])})
-    b = FGChainComplex(0, 1, {0: 1, 1: 1}, {1: Gf2Matrix.from_rows([[1]])})
-    c = FGChainComplex(0, 1, {0: 1, 1: 1})
+def test_complex_equality():
+    a = TruncatedComplex(Gf2Matrix.from_rows([[1]]), Gf2Matrix.zeros(1, 0))
+    b = TruncatedComplex(Gf2Matrix.from_rows([[1]]), Gf2Matrix.zeros(1, 0))
+    c = TruncatedComplex(Gf2Matrix.zeros(1, 1), Gf2Matrix.zeros(1, 0))
     assert a == b and a != c
 
 
 def test_betti_zero_differential_is_dimension():
-    c = FGChainComplex(0, 2, {0: 3, 1: 5, 2: 2})
+    c = TruncatedComplex(Gf2Matrix.zeros(3, 5), Gf2Matrix.zeros(5, 2))
     assert betti(c) == {0: 3, 1: 5, 2: 2}
 
 
@@ -99,22 +111,22 @@ def test_betti_matches_oracle_ranks():
     assert betti(c) == {0: 2, 1: 1, 2: 0}
 
 
-def _identity_reduction(c: FGChainComplex) -> ReductionTriple:
+def _identity_reduction(c: TruncatedComplex) -> ReductionTriple:
     f = {k: Gf2Matrix.identity(c.dim(k)) for k in c.degrees()}
     return ReductionTriple(c, c, f, dict(f), {})
 
 
 def test_verify_reduction_identity_triple():
     d1 = Gf2Matrix.from_rows([[1, 1], [1, 1]])
-    c = FGChainComplex(0, 1, {0: 2, 1: 2}, {1: d1})
+    c = TruncatedComplex(d1, Gf2Matrix.zeros(2, 0))
     report = verify_reduction(_identity_reduction(c))
     assert report.ok
-    assert len(report.entries) == 14  # seven identities in each of two degrees
+    assert len(report.entries) == 21  # seven identities in each of three degrees
 
 
 def test_verify_reduction_catches_tampering():
     d1 = Gf2Matrix.from_rows([[1, 1], [1, 1]])
-    c = FGChainComplex(0, 1, {0: 2, 1: 2}, {1: d1})
+    c = TruncatedComplex(d1, Gf2Matrix.zeros(2, 0))
     good = _identity_reduction(c)
     bad = ReductionTriple(
         c,
@@ -130,19 +142,16 @@ def test_verify_reduction_catches_tampering():
 
 
 def test_reduction_triple_shape_validation():
-    c = FGChainComplex(0, 1, {0: 2, 1: 2}, {1: Gf2Matrix.from_rows([[1, 1], [1, 1]])})
-    small = FGChainComplex(0, 1, {0: 1, 1: 0})
+    c = TruncatedComplex(Gf2Matrix.from_rows([[1, 1], [1, 1]]), Gf2Matrix.zeros(2, 0))
+    small = TruncatedComplex(Gf2Matrix.zeros(1, 0), Gf2Matrix.zeros(0, 0))
     with pytest.raises(ValueError):
         ReductionTriple(c, small, {0: Gf2Matrix.zeros(2, 2)}, {}, {})
     with pytest.raises(ValueError):
         ReductionTriple(c, small, {}, {}, {0: Gf2Matrix.zeros(3, 3)})
-    lo_mismatch = FGChainComplex(1, 2, {1: 1, 2: 0})
-    with pytest.raises(ValueError):
-        ReductionTriple(c, lo_mismatch, {}, {}, {})
 
 
 def test_reduction_triple_builds_lazy_maps_once_and_checks_them_when_read():
-    c = FGChainComplex(0, 1, {0: 2, 1: 2}, {1: Gf2Matrix.from_rows([[1, 1], [1, 1]])})
+    c = TruncatedComplex(Gf2Matrix.from_rows([[1, 1], [1, 1]]), Gf2Matrix.zeros(2, 0))
     built = []
 
     def f(k):

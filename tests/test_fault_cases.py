@@ -17,7 +17,7 @@ import pytest
 
 import morsereduce
 from morsereduce import perturbation
-from morsereduce.complexes import BoundaryViolation, FGChainComplex, ReductionTriple, verify_reduction
+from morsereduce.complexes import BoundaryViolation, ReductionTriple, TruncatedComplex, verify_reduction
 from morsereduce.cubical import boundary_matrices, build_cubical
 from morsereduce.gf2 import Gf2Matrix, NotNilpotent
 from morsereduce.image import random_image
@@ -114,9 +114,14 @@ def test_a_broken_field_fails_the_check_of_its_label(label):
     assert label in [e.label() for e in report.failures()]
 
 
+def flat(c0, c1=0, c2=0):
+    """The complex with c0, c1 and c2 cells and both differentials zero."""
+    return TruncatedComplex(Gf2Matrix.zeros(c0, c1), Gf2Matrix.zeros(c1, c2))
+
+
 ONE = Gf2Matrix.identity(1)
-LINE = FGChainComplex(0, 1, {0: 1, 1: 1}, {1: ONE})  # one edge on one vertex
-FLAT = FGChainComplex(0, 1, {0: 1, 1: 1})  # the same modules, d = 0
+LINE = TruncatedComplex(ONE, Gf2Matrix.zeros(1, 0))  # one edge on one vertex
+FLAT = flat(1, 1)  # the same modules, d = 0
 
 
 def identity_maps(big, small, h):
@@ -126,7 +131,7 @@ def identity_maps(big, small, h):
 
 def vertex_in_b(big):
     """f(0) = 0 and h(0) = I put the vertex in B0; f(1) = g(1) = I keep the edge."""
-    return ReductionTriple(big, FGChainComplex(0, 1, {0: 0, 1: 1}), {1: ONE}, {1: ONE}, {0: ONE})
+    return ReductionTriple(big, flat(0, 1), {1: ONE}, {1: ONE}, {0: ONE})
 
 
 def edge_on_vertex(pivot_inverses, a1=1):
@@ -137,16 +142,16 @@ def edge_on_vertex(pivot_inverses, a1=1):
 
 # (exception, a fragment of its message) -> a call that reaches that raise.
 ROUTE_FAULTS = {
-    # Nothing in the window is killed by f or h: A0 and B0 both hold the
+    # Nothing in the complex is killed by f or h: A0 and B0 both hold the
     # one vertex, two dimensions in a module of one.
     (DecompositionFailure, "parts span"): lambda: decompose(
-        ReductionTriple(FGChainComplex(0, 0, {0: 1}), FGChainComplex(0, 0, {0: 0}), {}, {}, {})
+        ReductionTriple(flat(1), flat(0), {}, {}, {})
     ),
     # g sends both small cells to the big complex's first cell.
     (DecompositionFailure, "not independent"): lambda: decompose(
         ReductionTriple(
-            FGChainComplex(0, 0, {0: 2}),
-            FGChainComplex(0, 0, {0: 2}),
+            flat(2),
+            flat(2),
             {0: Gf2Matrix.identity(2)},
             {0: Gf2Matrix(2, 2, [0b11, 0])},
             {},
@@ -166,7 +171,7 @@ ROUTE_FAULTS = {
     ),
     # The cone contracted by h(0) = I, perturbed by delta(1) = I: delta h = I.
     (NotNilpotent, "delta h is not annihilated"): lambda: bpl(
-        ReductionTriple(LINE, FGChainComplex(0, 1, {0: 0, 1: 0}), {}, {}, {0: ONE}), FLAT, 3
+        ReductionTriple(LINE, flat(0), {}, {}, {0: ONE}), FLAT, 3
     ),
     (NotInvertible, "but B below has size"): lambda: edge_on_vertex({}, a1=0),
     (NotInvertible, "missing pivot inverse"): lambda: edge_on_vertex({}),
@@ -234,8 +239,8 @@ def test_each_route_failure_is_raised_alike_when_every_matrix_holds_its_index(
     monkeypatch.setattr(Gf2Matrix, "_set_slots", with_index)
     # The cases read these constants, so they are made again with an index.
     monkeypatch.setitem(globals(), "ONE", Gf2Matrix.identity(1))
-    monkeypatch.setitem(globals(), "LINE", FGChainComplex(0, 1, {0: 1, 1: 1}, {1: ONE}))
-    monkeypatch.setitem(globals(), "FLAT", FGChainComplex(0, 1, {0: 1, 1: 1}))
+    monkeypatch.setitem(globals(), "LINE", TruncatedComplex(ONE, Gf2Matrix.zeros(1, 0)))
+    monkeypatch.setitem(globals(), "FLAT", flat(1, 1))
     with pytest.raises(error) as again:
         ROUTE_FAULTS[error, fragment]()
     assert indexed and ONE._index == ((0,),)

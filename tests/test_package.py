@@ -1,9 +1,10 @@
-"""Tests of the package's surface: the names each __all__ promises, and no dead private helper."""
+"""Tests of the package's surface: the names each __all__ and the README promise, and no dead private helper."""
 
 import ast
 import importlib
 import pathlib
 import pkgutil
+import re
 import sys
 
 import pytest
@@ -20,6 +21,38 @@ def test_every_name_in_all_resolves(name):
     mod = importlib.import_module("morsereduce" + (f".{name}" if name else ""))
     assert len(set(mod.__all__)) == len(mod.__all__)
     missing = [attr for attr in mod.__all__ if not hasattr(mod, attr)]
+    assert missing == []
+
+
+def package_layout_rows():
+    """(module, identifiers) of each row of README's "Package layout" table.
+
+    The identifiers are the backticked spans that are a name or a call
+    such as `bpl(r, target, m)`, whose name is kept; other spans, such as
+    `verify=False` or a command line, are not names to resolve.
+    """
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Package layout", 1)[1]
+    rows = []
+    for line in section.split("\n## ", 1)[0].splitlines():
+        row = re.fullmatch(r"\| `(morsereduce\.\w+)` \| (.*) \|", line)
+        if row:
+            spans = re.findall(r"`([^`]+)`", row[2])
+            names = [m[1] for m in map(re.compile(r"([A-Za-z_]\w*)(\(.*\))?").fullmatch, spans) if m]
+            rows.append((row[1], names))
+    return rows
+
+
+def test_every_name_in_the_readme_package_table_resolves():
+    # A public name removed from a module must leave the docs too.
+    rows = package_layout_rows()
+    assert len(rows) >= 9 and all(names for _, names in rows)
+    missing = [
+        (module, name)
+        for module, names in rows
+        for name in names
+        if not hasattr(importlib.import_module(module), name)
+    ]
     assert missing == []
 
 

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from morsereduce import complexes, perturbation, pipeline
 from morsereduce.complexes import (
     BoundaryViolation,
-    FGChainComplex,
     ReductionTriple,
+    TruncatedComplex,
     verify_reduction,
 )
 from morsereduce.cubical import boundary_matrices, build_cubical
@@ -54,18 +54,17 @@ def test_perturbation_must_square_to_zero():
         cols=d1.cols,
     )
     assert base.dim(2) > 0
-    dims = {k: base.dim(k) for k in base.degrees()}
     with pytest.raises(BoundaryViolation):
-        FGChainComplex(0, 2, dims, {1: d1 + flip, 2: base.d(2)})
+        TruncatedComplex(d1 + flip, base.d(2))
 
 
 def test_public_constructors_check_that_the_differential_squares_to_zero():
     one = Gf2Matrix.identity(1)
     with pytest.raises(BoundaryViolation):
-        FGChainComplex(0, 2, {0: 1, 1: 1, 2: 1}, {1: one, 2: one})
-    base = FGChainComplex(0, 2, {0: 1, 1: 1, 2: 1}, {1: one})
+        TruncatedComplex(one, one)
+    base = TruncatedComplex(one, Gf2Matrix.zeros(1, 1))
     with pytest.raises(BoundaryViolation):
-        FGChainComplex(0, 2, {0: 1, 1: 1, 2: 1}, {1: base.d(1), 2: one})
+        TruncatedComplex(base.d(1), one)
 
 
 def test_the_route_perturbation_must_land_on_its_target():
@@ -73,7 +72,7 @@ def test_the_route_perturbation_must_land_on_its_target():
     eye = {k: Gf2Matrix.identity(base.dim(k)) for k in base.degrees()}
     unit = ReductionTriple(base, base, eye, dict(eye), {})
     assert bpl(unit, base, 1).big is base
-    flat = FGChainComplex(0, 2, {k: base.dim(k) for k in base.degrees()})
+    flat = TruncatedComplex(Gf2Matrix.zeros(base.c0, base.c1), Gf2Matrix.zeros(base.c1, base.c2))
     assert flat != base  # same modules, zero differential
     onto_flat = bpl(unit, flat, 1)
     assert onto_flat.big is flat and onto_flat.small == flat
@@ -110,7 +109,7 @@ def test_decompose_rejects_tampered_triples():
         triple.small,
         {k: triple.f(k) for k in degrees},
         {0: Gf2Matrix.from_rows(rows, cols=g0.cols), 1: triple.g(1), 2: triple.g(2)},
-        {k: triple.h(k) for k in range(triple.big.lo, triple.big.hi)},
+        {k: triple.h(k) for k in range(2)},
     )
     with pytest.raises(DecompositionFailure):
         decompose(tampered)
@@ -130,14 +129,14 @@ def pairs_deleted_in_place(t, vf):
     for v, e in vf.pairs:
         toy[v] |= 1 << e
         homotopy[e] |= 1 << v
-    big = FGChainComplex(0, 2, {0: c0, 1: c1, 2: c2}, {1: Gf2Matrix(c0, c1, toy)})
+    big = TruncatedComplex(Gf2Matrix(c0, c1, toy), Gf2Matrix.zeros(c1, c2))
     kept = {
         0: [v for v in range(c0) if v not in vertices],
         1: [e for e in range(c1) if e not in edges],
     }
     f = {k: Gf2Matrix(len(cells), big.dim(k), [1 << c for c in cells]) for k, cells in kept.items()}
     f[2] = Gf2Matrix.identity(c2)
-    small = FGChainComplex(0, 2, {k: f[k].rows for k in f})
+    small = TruncatedComplex(Gf2Matrix.zeros(f[0].rows, f[1].rows), Gf2Matrix.zeros(f[1].rows, c2))
     g = {k: m.transpose() for k, m in f.items()}
     return ReductionTriple(big, small, f, g, {0: Gf2Matrix(c1, c0, homotopy)})
 
@@ -193,7 +192,7 @@ def test_decompose_keeps_the_matrix_path_for_bases_that_are_not_coordinates():
 def test_decompose_refuses_a_basis_with_a_repeated_coordinate():
     # g sends both small cells to the big complex's first cell: each column
     # of [A | B | g] is a coordinate vector, but the same one.
-    cx = FGChainComplex(0, 0, {0: 2})
+    cx = TruncatedComplex(Gf2Matrix.zeros(2, 0), Gf2Matrix.zeros(0, 0))
     g = Gf2Matrix(2, 2, [0b11, 0])
     repeated = ReductionTriple(cx, cx, {0: Gf2Matrix.identity(2)}, {0: g}, {})
     with pytest.raises(DecompositionFailure, match="not independent"):
@@ -287,25 +286,23 @@ def test_hexagonal_general_needs_matching_pivot_inverses():
         hexagonal_general(dec.transformed, {1: Gf2Matrix.zeros(pivot.cols, pivot.rows)})
 
 
-def test_hexagonal_general_reduces_a_window_other_than_zero_to_two():
-    # Degrees 1..3, split (A, B, C) as (0, 1, 2), (1, 0, 2) and (0, 0, 1).
-    # d(2) has rows B1 C1 C1 and columns A2 C2 C2: d21 = [1], d23 = [1 1],
-    # d31 = [1; 1] and d33 = [1 1; 0 0]. d(3) = [0; 1; 1] is zero in its
-    # A row, and d(2) d(3) = 0.
-    d2 = Gf2Matrix.from_rows([[1, 1, 1], [1, 1, 1], [1, 0, 0]])
-    d3 = Gf2Matrix.from_rows([[0], [1], [1]])
-    cx = FGChainComplex(1, 3, {1: 3, 2: 3, 3: 1}, {2: d2, 3: d3})
-    sc = SplitComplex(cx, {1: (0, 1, 2), 2: (1, 0, 2), 3: (0, 0, 1)})
-    triple = hexagonal_general(sc, {2: Gf2Matrix.identity(1)})
+def test_hexagonal_general_forms_d33_plus_d31_u_d23():
+    # Degrees 0..2, split (A, B, C) as (0, 1, 2), (1, 0, 2) and (0, 0, 1).
+    # d(1) has rows B0 C0 C0 and columns A1 C1 C1: d21 = [1], d23 = [1 1],
+    # d31 = [1; 1] and d33 = [1 1; 0 0]. d(2) = [0; 1; 1] is zero in its
+    # A row, and d(1) d(2) = 0.
+    d1 = Gf2Matrix.from_rows([[1, 1, 1], [1, 1, 1], [1, 0, 0]])
+    d2 = Gf2Matrix.from_rows([[0], [1], [1]])
+    sc = SplitComplex(TruncatedComplex(d1, d2), {0: (0, 1, 2), 1: (1, 0, 2), 2: (0, 0, 1)})
+    triple = hexagonal_general(sc, {1: Gf2Matrix.identity(1)})
     assert verify_reduction(triple).ok
     small = triple.small
-    assert type(small) is FGChainComplex
-    assert (small.lo, small.hi) == (1, 3)
-    assert [small.dim(k) for k in small.degrees()] == [2, 2, 1]
-    # d33 + d31 u d23 = [1 1; 0 0] + [1; 1] [1] [1 1] in degree 2, and the
-    # C rows of d(3) in degree 3, where no A part lies below.
-    assert small.d(2) == Gf2Matrix.from_rows([[0, 0], [1, 1]])
-    assert small.d(3) == Gf2Matrix.from_rows([[1], [1]])
+    assert type(small) is TruncatedComplex
+    assert small.dims() == (2, 2, 1)
+    # d33 + d31 u d23 = [1 1; 0 0] + [1; 1] [1] [1 1] in degree 1, and the
+    # C rows of d(2) in degree 2, where no A part lies below.
+    assert small.d(1) == Gf2Matrix.from_rows([[0, 0], [1, 1]])
+    assert small.d(2) == Gf2Matrix.from_rows([[1], [1]])
 
 
 def test_bpl_with_zero_perturbation_reproduces_the_reduction():
@@ -318,7 +315,7 @@ def test_bpl_with_zero_perturbation_reproduces_the_reduction():
         for k in triple.big.degrees():
             assert out.f(k) == triple.f(k)
             assert out.g(k) == triple.g(k)
-        for k in range(triple.big.lo, triple.big.hi):
+        for k in range(2):
             assert out.h(k) == triple.h(k)
 
 
@@ -335,11 +332,11 @@ def test_bpl_rejects_insufficient_nilpotency_exponent():
     # onto the zero complex; perturbing by delta(1) = I makes delta h = I,
     # which is not nilpotent, so every exponent must be refused.
     one = Gf2Matrix.identity(1)
-    big = FGChainComplex(0, 1, {0: 1, 1: 1}, {1: one})
-    small = FGChainComplex(0, 1, {0: 0, 1: 0})
+    big = TruncatedComplex(one, Gf2Matrix.zeros(1, 0))
+    small = TruncatedComplex(Gf2Matrix.zeros(0, 0), Gf2Matrix.zeros(0, 0))
     contraction = ReductionTriple(big, small, {}, {}, {0: one})
     assert verify_reduction(contraction).ok
-    target = FGChainComplex(0, 1, {0: 1, 1: 1})  # d(1) = 0, so delta(1) = I
+    target = TruncatedComplex(Gf2Matrix.zeros(1, 1), Gf2Matrix.zeros(1, 0))  # delta(1) = I
     for m in (1, 2, 5):
         with pytest.raises(NotNilpotent):
             bpl(contraction, target, m)
