@@ -55,11 +55,13 @@ class Gf2Matrix:
     (P A Q^-1)(Q B) = P (A B) is zero too, so the permuted A
     records the permuted B, and no product of the two is formed.
 
-    ``_pin`` is None or a _Pin: a claim, made by the block elimination,
-    that this matrix is a homotopy [L^-1 in one column band; 0] or a lift
-    [L^-1 T; 0; I] for a unit lower triangular L. Like the record, it
-    names factors and holds no product; mul checks it on this matrix's
-    own bits before it relies on it (see _Pin).
+    ``_pin`` is None or a _Pin: a claim that this matrix is a homotopy
+    [L^-1 in one column band; 0] or a lift [L^-1 T; 0; I] for a unit
+    lower triangular L. The block elimination pins its h and g, and
+    nilpotent_series_inverse pins S = (I + N)^-1, the homotopy form with
+    no zero rows. Like the record, it names factors and holds no
+    product; mul checks it on this matrix's own bits before it relies on
+    it (see _Pin).
 
     ``_answers`` is None or a dict from a question, "is_identity" or
     "is_lower_unitriangular", to its answer. Its one rule: an answer
@@ -333,14 +335,23 @@ class Gf2Matrix:
             product = Gf2Matrix._from_index(self.rows, other.cols, _index_product(self, other))
         else:
             product = Gf2Matrix._raw(self.rows, other.cols, _mul_rows(self, other.bits))
-        # A square that recorded itself would be freed only by the cycle
-        # collector, so a matrix's own square is not recorded.
-        if other is not self:
+        # A record that closed a reference cycle would be freed only by the
+        # cycle collector. So a matrix's own square is not recorded, nor a
+        # product whose right factor already names this one in its record
+        # or pin.
+        if other is not self and not other._names(self):
             if product.is_zero():
                 object.__setattr__(self, "_record", (other, False))
             elif product.is_identity():
                 object.__setattr__(self, "_record", (other, True))
         return product
+
+    def _names(self, other: Gf2Matrix) -> bool:
+        """Whether this matrix's record or pin holds other itself."""
+        record, pin = self._record, self._pin
+        return (record is not None and record[0] is other) or (
+            pin is not None and (pin.lower is other or pin.rhs is other)
+        )
 
     def _pinned_product(self, pin: _Pin, other: Gf2Matrix) -> tuple[int, ...] | None:
         """The row words of self·other through self's pin, or None for the row loop.
@@ -388,41 +399,37 @@ class Gf2Matrix:
             object.__setattr__(t, "_transposed", self)
         return t
 
-    def _power_is_zero(self, k: int) -> bool:
-        """Whether self^k = 0, decided exactly.
+    def pow(self, k: int) -> Gf2Matrix:
+        """self^k, the zero matrix with no product when every chain is shorter than k.
 
         Entry (i, j) of self^k sums over the chains i = i0, i1, ..., ik = j
         of k steps along nonzero entries. In a strictly lower triangular
         matrix every step goes to a smaller index, so one pass over the set
         bits finds the longest chain from each row; if every chain has
-        fewer than k steps, self^k = 0 with no product. The pass stops at
-        the first row with a bit at or above its own index: then, as for a
-        chain of k steps or more or a matrix that is not square, pow(k)
-        decides.
+        fewer than k steps, self^k = 0 and no product is formed. The pass
+        stops at the first row with a bit at or above its own index: then,
+        as for a chain of k steps or more, self^k is formed by repeated
+        squaring.
         """
-        if self.rows == self.cols:
-            steps: list[int] = []  # steps[i]: the longest chain from row i
-            for i, word in enumerate(self.bits):
-                if word >> i:  # not strictly lower triangular
-                    break
-                longest = 0
-                while word:
-                    j = word.bit_length() - 1
-                    if steps[j] >= longest:
-                        longest = steps[j] + 1
-                    word ^= 1 << j
-                if longest >= k:
-                    break
-                steps.append(longest)
-            else:
-                return True
-        return self.pow(k).is_zero()
-
-    def pow(self, k: int) -> Gf2Matrix:
         if self.rows != self.cols:
             raise ValueError(f"pow needs a square matrix, got {self.rows}x{self.cols}")
         if k < 0:
             raise ValueError("negative exponent")
+        steps: list[int] = []  # steps[i]: the longest chain from row i
+        for i, word in enumerate(self.bits):
+            if word >> i:  # not strictly lower triangular
+                break
+            longest = 0
+            while word:
+                j = word.bit_length() - 1
+                if steps[j] >= longest:
+                    longest = steps[j] + 1
+                word ^= 1 << j
+            if longest >= k:
+                break
+            steps.append(longest)
+        else:
+            return Gf2Matrix.zeros(self.rows, self.cols)
         result = Gf2Matrix.identity(self.rows)
         base = self
         while k:
@@ -525,9 +532,19 @@ class Gf2Matrix:
         in increasing order, with a 1 in that free column and the RREF
         entries in the pivot columns. The cost follows the fill of the
         rows, not rows x cols.
+
+        When every row is zero or a unit vector, the distinct unit rows
+        are already that RREF, and no elimination runs: the free columns
+        are the ones no row covers, and each basis column is the unit
+        vector of its free column. Every kernel that decompose takes on
+        the perturbation route is of this kind.
         """
         nc = self.cols
-        pivots = _back_substitute(_echelon(self.bits, nc)[0])
+        bits = self.bits
+        if any(w & (w - 1) for w in bits):
+            pivots = _back_substitute(_echelon(bits, nc)[0])
+        else:
+            pivots = {w.bit_length() - 1: w for w in bits if w}
         free = [c for c in range(nc) if c not in pivots]
         flag = {c: 1 << idx for idx, c in enumerate(free)}
         out = [flag.get(c, 0) for c in range(nc)]
@@ -547,26 +564,40 @@ class Gf2Matrix:
         Requires ``self.pow(bound)`` to vanish; raises NotNilpotent otherwise.
         Over GF(2) the sum telescopes, (I + self) S = I + self^bound, so it
         inverts I + self exactly when self^bound = 0, and is then that
-        inverse. Whether self^bound = 0 is decided exactly by
-        _power_is_zero, whose one pass over the rows also tests that self
-        is strictly lower triangular (see there). The inverse is
-        inv_unit_lower_triangular(), the forward substitution, when
-        I + self is unit lower triangular, and inverse() otherwise. Both
-        (I + self) S = I and S (I + self) = I are checked on the result.
+        inverse. pow decides self^bound = 0 exactly, with no product when
+        self is strictly lower triangular with every chain shorter than
+        bound (see there).
+
+        When I + self is unit lower triangular, S is
+        inv_unit_lower_triangular(), the forward substitution, and is
+        pinned as S = (I + self)^-1 (see _Pin). S (I + self) is then
+        formed first: the pin's own check is (I + self) S = I, row by row
+        on S's bits, and once it holds the product is solved through
+        I + self in nnz(I + self) row XORs, where the row loop would cost
+        nnz(S). A pin that fails is dropped and the row loop forms the
+        product. Otherwise S is inverse(), and (I + self) S = I and
+        S (I + self) = I are both formed. Either way both identities are
+        checked on S before it is returned.
         """
         if self.rows != self.cols:
             raise ValueError(f"series needs a square matrix, got {self.rows}x{self.cols}")
         if bound < 0:
             raise ValueError("negative bound")
         n = self.rows
-        if not self._power_is_zero(bound):
+        if not self.pow(bound).is_zero():
             raise NotNilpotent(f"matrix^{bound} is nonzero")
         one_plus = self + Gf2Matrix.identity(n)
+        pin = _Pin(one_plus)
         if one_plus.is_lower_unitriangular():
             total = one_plus.inv_unit_lower_triangular()
+            object.__setattr__(total, "_pin", pin)
         else:
             total = one_plus.inverse()
-        if not (one_plus.mul(total).is_identity() and total.mul(one_plus).is_identity()):
+        # A pin checked by the first product has checked the second.
+        if not (
+            total.mul(one_plus).is_identity()
+            and (pin.checked or one_plus.mul(total).is_identity())
+        ):
             raise AssertionError("series inverse self-check failed")
         return total
 
@@ -669,7 +700,9 @@ class _Pin:
     for h or the a x c block T for g. For h, U fills the top a rows in
     columns offset to offset + a; for g, the a rows of the lift are
     followed by zero rows and then the c x c identity. The pin names
-    blocks its maker keeps anyway and holds no product and no copy.
+    blocks its maker keeps anyway and holds no product and no copy. A
+    series inverse S = (I + N)^-1 is pinned as h with L = I + N, offset
+    0 and no zero rows.
 
     holds(m) checks the claim once, on m's own bits: U's rows lie in
     their band and L U = I, or L lift = T and the rows below the lift

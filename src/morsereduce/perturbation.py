@@ -228,7 +228,7 @@ def bpl(
     the series inverse's checks always run. The pre-check is exact and
     forms no power when delta h is strictly lower triangular with chains
     shorter than m, as it is on vf_reduction_via_bpl's route (see
-    Gf2Matrix._power_is_zero). With verify=True (the default) the
+    Gf2Matrix.pow). With verify=True (the default) the
     returned triple passes verify_reduction. That one check also covers
     the inner triple in the split basis, which is therefore built with
     verify=False: the returned triple is the inner one conjugated by phi,
@@ -243,7 +243,7 @@ def bpl(
         raise ValueError("target complex differs from the big complex in its modules")
     delta = (big.d1 + target.d1, big.d2 + target.d2)
     for k, delta_k in enumerate(delta, 1):
-        if not delta_k.mul(r.h(k - 1))._power_is_zero(m):
+        if not delta_k.mul(r.h(k - 1)).pow(m).is_zero():
             raise NotNilpotent(f"delta h is not annihilated by exponent {m} in degree {k}")
 
     dec = decompose(r)

@@ -16,7 +16,7 @@ import re
 import pytest
 
 import morsereduce
-from morsereduce import perturbation
+from morsereduce import gf2, perturbation
 from morsereduce.complexes import BoundaryViolation, ReductionTriple, TruncatedComplex, verify_reduction
 from morsereduce.cubical import boundary_matrices, build_cubical
 from morsereduce.gf2 import Gf2Matrix, NotNilpotent
@@ -274,3 +274,35 @@ def test_bpl_checks_its_perturbed_complex(hexagonal, monkeypatch):
     monkeypatch.setattr(Decomposition, "to_split", flipping)
     with pytest.raises(BoundaryViolation, match=re.escape("d(1) . d(2) != 0")):
         bpl(triple, triple.big, 1)
+
+
+# N strictly lower triangular with N^6 = 0, so S = (I + N)^-1 is made by
+# inv_unit_lower_triangular and pinned to I + N. Each case flips one bit
+# of that S: on the diagonal, below it, above it, and in the last row.
+SERIES_N = Gf2Matrix(6, 6, [0, 0b1, 0b11, 0b100, 0b1010, 0b10001])
+
+
+@pytest.mark.parametrize("i, j", [(0, 0), (3, 1), (1, 4), (5, 2)])
+def test_a_corrupted_series_inverse_fails_its_self_check(i, j, monkeypatch):
+    # The pin's check (I + N) S = I fails, so the pin is dropped, the row
+    # loop forms S (I + N), and that is not I.
+    inverse = Gf2Matrix.inv_unit_lower_triangular
+    made, loops = [], []
+
+    def corrupted(m):
+        made.append(flip(inverse(m), i, j))
+        return made[-1]
+
+    def counting(left, obits):
+        loops.append(left)
+        return mul_rows(left, obits)
+
+    mul_rows = gf2._mul_rows
+    monkeypatch.setattr(Gf2Matrix, "inv_unit_lower_triangular", corrupted)
+    monkeypatch.setattr(gf2, "_mul_rows", counting)
+    with pytest.raises(AssertionError, match="^series inverse self-check failed$"):
+        SERIES_N.nilpotent_series_inverse(6)
+    [s] = made
+    assert s._pin is None
+    assert any(left is s for left in loops)
+

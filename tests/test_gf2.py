@@ -265,6 +265,55 @@ def test_right_kernel_basis_is_the_canonical_rref_basis(m):
     assert got.to_rows() == want
 
 
+@st.composite
+def unit_row_matrices(draw):
+    """Rows that are each zero or a unit vector in a band at a random
+    offset, some of them repeated; width 0 leaves only zero rows."""
+    cols = draw(st.integers(0, 40))
+    if cols == 0:
+        word = st.just(0)
+    else:
+        offset = draw(st.integers(0, cols - 1))
+        top = draw(st.integers(offset, cols - 1))
+        word = st.one_of(st.just(0), st.integers(offset, top).map(lambda j: 1 << j))
+    words = draw(st.lists(word, max_size=30))
+    if words:
+        words += draw(st.lists(st.sampled_from(words), max_size=10))
+    words = draw(st.permutations(words))
+    return Gf2Matrix(len(words), cols, words)
+
+
+def eliminated_kernel(m):
+    """The canonical kernel basis built from _echelon and _back_substitute's pivots."""
+    pivots = gf2._back_substitute(gf2._echelon(m.bits, m.cols)[0])
+    free = [c for c in range(m.cols) if c not in pivots]
+    rows = [[0] * len(free) for _ in range(m.cols)]
+    for k, c in enumerate(free):
+        rows[c][k] = 1
+        for pc, word in pivots.items():
+            rows[pc][k] = (word >> c) & 1
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(unit_row_matrices())
+@example(Gf2Matrix.zeros(0, 0))
+@example(Gf2Matrix.zeros(4, 0))
+@example(Gf2Matrix.zeros(3, 5))
+@example(Gf2Matrix(4, 3, [0b100, 0b100, 0, 0b1]))
+def test_unit_row_kernels_are_read_off_with_no_elimination(m):
+    want = eliminated_kernel(m)
+    assert want == oracle.kernel_basis(m.to_rows(), m.cols)
+    calls = []
+    echelon = gf2._echelon
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gf2, "_echelon", lambda *a: calls.append(a) or echelon(*a))
+        got = m.right_kernel_basis()
+    assert calls == []
+    assert (got.rows, got.cols) == (m.cols, m.cols - oracle.rank(m.to_rows()))
+    assert got.to_rows() == want
+
+
 @settings(max_examples=300, deadline=None)
 @given(any_matrix())
 @example(Gf2Matrix.zeros(0, 0))
@@ -1028,6 +1077,19 @@ def test_the_record_holds_no_product():
         assert again == product and again is not product
 
 
+def test_no_record_points_back_at_a_factor_that_names_it():
+    # a b = 0 and b a = 0: a records b, so b records nothing, and the two
+    # make no reference cycle. The same holds for a right factor's pin.
+    a, b = Gf2Matrix(2, 2, [0b10, 0]), Gf2Matrix(2, 2, [0b10, 0])
+    assert a.mul(b).is_zero() and b.mul(a).is_zero()
+    assert a._record == (b, False) and b._record is None
+    one_plus = Gf2Matrix(3, 3, [1, 0b11, 0b111])
+    s = one_plus.inv_unit_lower_triangular()
+    object.__setattr__(s, "_pin", gf2._Pin(one_plus))
+    assert one_plus.mul(s).is_identity() and one_plus._record is None
+    assert s.mul(one_plus).is_identity() and s._record == (one_plus, True)
+
+
 @st.composite
 def unit_lower_systems(draw):
     """(l, rhs): l as in unit_lower(); rhs sparse and up to 3000 wide when l
@@ -1165,12 +1227,18 @@ def test_series_inverse_is_exact_on_nilpotent_matrices(operands):
             m.nilpotent_series_inverse(bound)
 
 
-def strict_or_square(rng, n, density, strict):
-    """An n x n matrix of the given density, strictly lower triangular or not."""
-    return Gf2Matrix(n, n, [
-        sum(1 << j for j in range(i if strict else n) if rng.random() < density)
+def square_of_shape(rng, n, density, shape):
+    """An n x n matrix of the given density: strictly lower triangular,
+    nearly so (one bit set on or above the diagonal, in a random row), or
+    general."""
+    words = [
+        sum(1 << j for j in range(i if shape != "general" else n) if rng.random() < density)
         for i in range(n)
-    ])
+    ]
+    if shape == "nearly" and n:
+        i = rng.randrange(n)
+        words[i] |= 1 << rng.randrange(i, n)
+    return Gf2Matrix(n, n, words)
 
 
 @settings(max_examples=300, deadline=None)
@@ -1178,36 +1246,43 @@ def strict_or_square(rng, n, density, strict):
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(0, 12),
     density=st.sampled_from([0.05, 0.2, 0.5, 0.9]),
-    strict=st.booleans(),
+    shape=st.sampled_from(["strict", "nearly", "general"]),
 )
-@example(seed=0, n=0, density=0.5, strict=True)
-@example(seed=0, n=12, density=0.0, strict=False)
-def test_power_is_zero_agrees_with_the_textbook_power(seed, n, density, strict):
-    m = strict_or_square(random.Random(seed), n, density, strict)
+@example(seed=0, n=0, density=0.5, shape="strict")
+@example(seed=0, n=12, density=0.0, shape="general")
+def test_pow_is_the_textbook_power(seed, n, density, shape):
+    m = square_of_shape(random.Random(seed), n, density, shape)
     rows = m.to_rows()
     for k in range(n + 2):
-        assert m._power_is_zero(k) == oracle.is_zero(oracle.power(rows, k))
+        got = m.pow(k)
+        assert (got.rows, got.cols) == (n, n)
+        assert got.to_rows() == oracle.power(rows, k)
 
 
-def test_power_is_zero_forms_no_power_when_every_chain_is_shorter(monkeypatch):
+def test_pow_forms_no_product_when_every_chain_is_shorter(monkeypatch):
     # Rows 1 and 2 both step to 0, and row 3 steps to both: chains of 2
     # steps, which cancel in pairs, so M^2 = 0 although a chain has 2 steps.
     m = Gf2Matrix(4, 4, [0, 0b1, 0b1, 0b110])
     assert oracle.is_zero(oracle.power(m.to_rows(), 2))
-    powers = []
-    real = Gf2Matrix.pow
-    monkeypatch.setattr(Gf2Matrix, "pow", lambda a, k: powers.append(k) or real(a, k))
-    assert m._power_is_zero(3) and m._power_is_zero(9) and powers == []
-    assert m._power_is_zero(2) and powers == [2]  # a chain of 2 steps: the power decides
-    assert not m._power_is_zero(1) and powers == [2, 1]
-    assert Gf2Matrix(2, 2, [0b10, 0])._power_is_zero(5)  # not lower: the power decides
-    assert powers == [2, 1, 5]
+    products = []
+    real = Gf2Matrix.mul
+    monkeypatch.setattr(Gf2Matrix, "mul", lambda a, b: products.append((a, b)) or real(a, b))
+    assert m.pow(3).is_zero() and m.pow(9).is_zero() and products == []
+    assert m.pow(2).is_zero() and products  # a chain of 2 steps: the power is formed
+    products.clear()
+    assert not m.pow(1).is_zero() and products
+    products.clear()
+    assert Gf2Matrix(2, 2, [0b10, 0]).pow(5).is_zero() and products  # not lower
+    products.clear()
     # Strictly lower until row 2 sets its diagonal bit: the walk stops
-    # there, and one power decides.
-    assert not Gf2Matrix(3, 3, [0, 0b1, 0b101])._power_is_zero(4)
-    assert powers == [2, 1, 5, 4]
+    # there, and the power is formed.
+    assert not Gf2Matrix(3, 3, [0, 0b1, 0b101]).pow(4).is_zero() and products
+    products.clear()
+    assert m.pow(0).is_identity() and Gf2Matrix.zeros(3, 3).pow(0).is_identity()
+    assert Gf2Matrix.zeros(0, 0).pow(0) == Gf2Matrix.identity(0)
+    assert Gf2Matrix.zeros(3, 3).pow(1).is_zero() and products == []
     with pytest.raises(ValueError, match="pow needs a square matrix, got 2x3"):
-        Gf2Matrix(2, 3, [0, 0b1])._power_is_zero(4)
+        Gf2Matrix(2, 3, [0, 0b1]).pow(4)
 
 
 def random_unit_lower(rng, n, per_row):

@@ -1,5 +1,6 @@
 """Unit tests for reordering and the direct reduction of image complexes."""
 
+import gc
 import random
 
 import pytest
@@ -252,7 +253,8 @@ def test_reorder_forms_the_boundary_product_when_the_record_names_another_factor
 
 
 def test_certified_pivot_check_reuses_the_series_check(monkeypatch):
-    # nilpotent_series_inverse checks S (I + N) = I with S = L^-1, and
+    # nilpotent_series_inverse checks S (I + N) = I with S = L^-1, pinned
+    # to I + N, so that product is solved through I + N with no row loop.
     # hexagonal_general then checks u d21 = I for the same u = S and an
     # equal d21 = L. The second product is answered from the record.
     seen = []
@@ -271,7 +273,8 @@ def test_certified_pivot_check_reuses_the_series_check(monkeypatch):
     assert cand == res.reordered.L.inv_unit_lower_triangular()
     series_check = [f for a, b, f in log if a is cand and b == pivot and b is not pivot]
     pivot_check = [f for a, b, f in log if a is cand and b is pivot]
-    assert series_check == [True] and pivot_check == [False]
+    assert series_check == [False] and pivot_check == [False]
+    assert cand._pin.checked and cand._pin.lower == pivot
 
 
 @pytest.mark.parametrize(
@@ -331,17 +334,55 @@ def test_a_flipped_bit_fails_its_pin_and_verify_names_the_identity(monkeypatch, 
     assert "g_f_plus_dh_plus_hd_identity[1]" in [e.label() for e in report.failures()]
 
 
-def test_certified_image_raises_a_power_only_in_the_nilpotency_check(monkeypatch):
-    # The benchmark's gf2.pow span fires on the pipeline's nilpotency
-    # check, its one independent witness by multiplication; bpl's
-    # pre-check and the series inverse decide nilpotency without a power.
-    powers = []
-    real = Gf2Matrix.pow
-    monkeypatch.setattr(Gf2Matrix, "pow", lambda m, k: powers.append((m, k)) or real(m, k))
+def test_certified_image_answers_every_power_with_no_product(monkeypatch):
+    # The pipeline's nilpotency check, bpl's pre-check in both degrees and
+    # the series inverse each ask pow. Every matrix they ask about is
+    # strictly lower triangular with chains shorter than the exponent, so
+    # pow returns zero with no product.
+    powers, inside = [], []
+    real_pow, real_mul = Gf2Matrix.pow, Gf2Matrix.mul
+
+    def logging_pow(m, k):
+        inside.append([])
+        out = real_pow(m, k)
+        powers.append((m, k, out.is_zero(), inside.pop()))
+        return out
+
+    def logging_mul(a, b):
+        for products in inside:
+            products.append((a, b))
+        return real_mul(a, b)
+
+    monkeypatch.setattr(Gf2Matrix, "pow", logging_pow)
+    monkeypatch.setattr(Gf2Matrix, "mul", logging_mul)
     res = reduce_pipeline(random_image(24, 24, 0.6, 5))
     monkeypatch.undo()
     rc = res.reordered
-    assert res.ok and powers == [(rc.L + Gf2Matrix.identity(rc.nv), rc.nv)]
+    assert res.ok and rc.nv > 0
+    c0, c1, _ = rc.original.dims()
+    assert [(m.rows, k) for m, k, _, _ in powers] == [
+        (rc.nv, rc.nv), (c0, rc.nv + 1), (c1, rc.nv + 1), (rc.nv, rc.nv + 1)
+    ]
+    assert powers[0][0] == rc.L + Gf2Matrix.identity(rc.nv)
+    assert all(zero and products == [] for _, _, zero, products in powers)
+
+
+@pytest.mark.parametrize("fast", [True, False], ids=["fast", "certified"])
+def test_a_pipeline_run_leaves_no_reference_cycle(fast):
+    # Records and pins point from a matrix to the factors it names; a
+    # record that pointed back would make a cycle that only the cycle
+    # collector frees. With it off, every run must be freed by reference
+    # counting alone.
+    gc.collect()
+    gc.disable()
+    try:
+        for width, height, density, seed in [(16, 16, 0.6, 1), (24, 20, 0.5, 2), (20, 24, 0.8, 4)]:
+            res = reduce_pipeline(random_image(width, height, density, seed), fast=fast)
+            assert res.ok and res.nv > 0
+        del res
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_fast_image_reads_no_map_of_its_triple(monkeypatch):
