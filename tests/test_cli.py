@@ -1,8 +1,10 @@
 """End-to-end tests for the command line interface."""
 
 import concurrent.futures
+import gc
 import json
 import multiprocessing
+import operator
 import os
 import pathlib
 import subprocess
@@ -321,7 +323,7 @@ def test_the_pool_has_at_most_one_process_per_job(capsys, monkeypatch):
     class SerialPool:
         """Records the pool size asked for and runs the jobs in this process."""
 
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, **kwargs):
             pools.append(max_workers)
 
         def __enter__(self):
@@ -437,6 +439,128 @@ def test_bench_refuses_a_count_that_is_not_zero_or_more(capsys, count):
     captured = capsys.readouterr()
     assert captured.out == ""  # not even the header
     assert f"argument --trials: must be an integer, 0 or more, got '{count}'" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bench", "--density", "2"], "argument --density: must be a number in [0, 1], got '2'"),
+        (["bench", "--trials", "0", "--density", "2"], "argument --density: must be a number in [0, 1], got '2'"),
+        (["bench", "--density", "nan"], "argument --density: must be a number in [0, 1], got 'nan'"),
+        (["bench", "--size", "4", "-1"], "argument --size: must be an integer, 0 or more, got '-1'"),
+        (["verify", "--random", "1", "--density", "-0.5"], "argument --density: must be a number in [0, 1], got '-0.5'"),
+        (["verify", "--random", "1", "--density", "x"], "argument --density: must be a number in [0, 1], got 'x'"),
+        (["verify", "--random", "1", "--size", "x", "4"], "argument --size: must be an integer, 0 or more, got 'x'"),
+    ],
+    ids=[
+        "bench-density-2",
+        "bench-no-trials-density-2",
+        "bench-density-nan",
+        "bench-size-negative",
+        "verify-density-negative",
+        "verify-density-text",
+        "verify-size-text",
+    ],
+)
+def test_random_image_arguments_are_checked_before_any_output(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_bench_with_a_bad_thread_count_prints_no_header(capsys, monkeypatch):
+    monkeypatch.setenv("MORSEREDUCE_THREADS", "two")
+    code, out, err = run(capsys, ["bench", "--trials", "1", "--size", "4", "4"])
+    assert code == 2 and out == ""
+    assert err == "error: MORSEREDUCE_THREADS must be an integer, got 'two'\n"
+
+
+def test_main_leaves_the_collector_as_it_found_it(tmp_path, capsys, monkeypatch):
+    ring = write(tmp_path, "ring.pbm", RING_PBM)
+    broken = {name: True for name in BATTERY}
+    broken["euler"] = False
+    monkeypatch.setattr(cli, "_battery_one", lambda img: broken)
+    seen = []
+
+    def spy(img, **kw):
+        seen.append(gc.isenabled())
+        return pipeline.reduce_pipeline(img, **kw)
+
+    monkeypatch.setattr(cli, "reduce_pipeline", spy)
+    runs = [
+        (["homology", ring], 0),
+        (["verify", ring], 1),
+        (["homology", str(tmp_path / "nope.pbm")], 2),
+    ]
+    assert gc.isenabled()
+    try:
+        for was_enabled in (True, False):
+            for argv, expected in runs:
+                assert run(capsys, argv)[0] == expected
+                assert gc.isenabled() is was_enabled
+            with pytest.raises(SystemExit):
+                cli.main(["verify", "--random", "-1"])
+            assert gc.isenabled() is was_enabled
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, "_cmd_dvf", lambda args: 1 / 0)
+                with pytest.raises(ZeroDivisionError):
+                    cli.main(["dvf", ring])
+            assert gc.isenabled() is was_enabled
+            gc.disable()
+    finally:
+        gc.enable()
+    assert seen == [False, False]
+
+
+def test_pool_workers_run_with_the_collector_paused(monkeypatch):
+    monkeypatch.setenv("MORSEREDUCE_THREADS", "2")
+    assert gc.isenabled()
+    assert cli._map_jobs(operator.call, [gc.isenabled] * 2) == [False, False]
+    assert multiprocessing.active_children() == []
+
+
+def cyclic_garbage(capsys, argv):
+    """Objects that only the cycle collector frees after one cli.main call, and its exit code."""
+    gc.collect()
+    gc.disable()
+    try:
+        code = cli.main(argv)
+        capsys.readouterr()
+        return gc.collect(), code
+    finally:
+        gc.enable()
+
+
+def test_the_cyclic_garbage_of_a_command_does_not_grow_with_its_input(tmp_path, capsys):
+    # argparse's parser and json's indented encoder leave a fixed number
+    # of cycles. A cycle in the package would grow with the input and pile
+    # up while main keeps the collector paused.
+    small = write(tmp_path, "small.pbm", RING_PBM)
+    large = str(tmp_path / "large.pbm")
+    pathlib.Path(large).write_bytes(random_image(24, 20, 0.6, 3).to_pbm())
+    small_m = write(tmp_path, "small.txt", "3 3\n1 0 0\n0 1 1\n1 0 1\n")
+    grid = [[int((i * j + i) % 3 == 0) for j in range(12)] for i in range(12)]
+    large_m = write(tmp_path, "large.txt", "12 12\n" + "".join(" ".join(map(str, row)) + "\n" for row in grid))
+    small_bad = write(tmp_path, "small_bad.pbm", "P1\n2 2\n1 1 1\n")
+    large_bad = write(tmp_path, "large_bad.pbm", "P1\n40 40\n" + "1 0 " * 700)
+    batch = ["--size", "6", "6", "--density", "0.6"]
+    paths = [
+        (["homology", small], ["homology", large], 0),
+        (["homology", "--fast", small], ["homology", "--fast", large], 0),
+        (["homology", "--no-reduce", small], ["homology", "--no-reduce", large], 0),
+        (["dvf", small_m], ["dvf", large_m], 0),
+        (["verify", small], ["verify", large], 0),
+        (["verify", "--random", "1", *batch], ["verify", "--random", "3", *batch], 0),
+        (["bench", "--trials", "1", *batch], ["bench", "--trials", "3", *batch], 0),
+        (["homology", small_bad], ["homology", large_bad], 2),
+    ]
+    for small_argv, large_argv, code in paths:
+        # The first call warms the caches that a path fills once.
+        assert cyclic_garbage(capsys, small_argv)[1] == code
+        assert cyclic_garbage(capsys, small_argv) == cyclic_garbage(capsys, large_argv)
 
 
 def test_entry_point_exits_with_main_status(tmp_path, monkeypatch, capsys):
