@@ -10,12 +10,14 @@ a process pool; the default is serial.
 
 Each command runs with the cyclic garbage collector paused, in this
 process and in every pool worker, and main turns it back on only if it
-was on when main began. A pipeline run makes no reference cycle (records
-and pins point from a matrix to the factors it names, never back), so
-reference counting frees each result and the collector would only walk
-live objects: on 192x192 --fast images that walk took about 13% of each
-call, and the median call got 13.5% faster without it. Library calls
-such as reduce_pipeline leave the collector alone.
+was on when main began. A pipeline run makes no reference cycle: only
+the boundary check writes a record, from D1 to the D2 it annihilates,
+and never from a matrix to itself or to one that records it; pins point
+from a matrix to the blocks it names, never back. So reference counting
+frees each result and the collector would only walk live objects: on
+192x192 --fast images that walk took about 13% of each call, and the
+median call got 13.5% faster without it. Library calls such as
+reduce_pipeline leave the collector alone.
 """
 
 from __future__ import annotations
@@ -81,14 +83,14 @@ def _map_jobs(fn: Callable, jobs: list) -> list:
     return [fn(job) for job in jobs]
 
 
-def _count(text: str) -> int:
-    """An argparse type for --random, --trials and --size: an int, 0 or more."""
+def _count(text: str, least: int = 0) -> int:
+    """An argparse type for --trials, --size and (least 1) --random: an int, least or more."""
     try:
         n = int(text)
     except ValueError:
-        n = -1
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"must be an integer, 0 or more, got {text!r}")
+        n = least - 1
+    if n < least:
+        raise argparse.ArgumentTypeError(f"must be an integer, {least} or more, got {text!r}")
     return n
 
 
@@ -154,11 +156,11 @@ def _battery_random(params: tuple[int, int, float, int]) -> dict[str, bool]:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.image is not None and args.random:
+    if args.image is not None and args.random is not None:
         raise ValueError("give an image path or --random, not both")
     if args.image is not None:
         results = [_battery_one(load_image(args.image, args.threshold))]
-    elif args.random:
+    elif args.random is not None:
         jobs = [
             (args.size[0], args.size[1], args.density, args.seed + i)
             for i in range(args.random)
@@ -223,10 +225,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_hom.add_argument("image", help="PBM (P1/P4) or PGM (P2/P5) file")
     p_hom.add_argument("--threshold", type=int, default=128,
                        help="PGM foreground cut: value < threshold (default 128)")
-    p_hom.add_argument("--fast", action="store_true",
-                       help="skip the expensive re-verifications (reported as null)")
-    p_hom.add_argument("--no-reduce", action="store_true",
-                       help="compute Betti numbers directly on the original matrices")
+    mode = p_hom.add_mutually_exclusive_group()
+    mode.add_argument("--fast", action="store_true",
+                      help="skip the expensive re-verifications (reported as null)")
+    mode.add_argument("--no-reduce", action="store_true",
+                      help="compute Betti numbers directly on the original matrices")
     p_hom.set_defaults(func=_cmd_homology)
 
     p_dvf = sub.add_parser("dvf", help="print the vector field of a 0/1 matrix file")
@@ -236,7 +239,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run the full invariant battery")
     p_ver.add_argument("image", nargs="?", default=None, help="image file to verify")
     p_ver.add_argument("--threshold", type=int, default=128)
-    p_ver.add_argument("--random", type=_count, default=0, metavar="N",
+    p_ver.add_argument("--random", type=lambda text: _count(text, 1), metavar="N",
                        help="verify N seeded random images instead of a file")
     p_ver.add_argument("--size", type=_count, nargs=2, default=(16, 16),
                        metavar=("W", "H"))

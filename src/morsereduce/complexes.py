@@ -44,10 +44,10 @@ class TruncatedComplex:
     def check_boundaries(self) -> None:
         """Raise BoundaryViolation unless D1 . D2 = 0.
 
-        Where D1 or D2 is_zero() it is answered without a product.
+        Where D1 or D2 is_zero() it is answered without a product; a
+        product that came out zero is recorded on D1 (see Gf2Matrix).
         """
-        d1, d2 = self.d1, self.d2
-        if not (d1.is_zero() or d2.is_zero() or d1.mul(d2).is_zero()):
+        if not self.d1._annihilates(self.d2):
             raise BoundaryViolation("d(1) . d(2) != 0")
 
     @property

@@ -45,21 +45,22 @@ class Gf2Matrix:
     record, the identity pass-through, the pin, and then one loop over
     the left factor's set bits. That loop is the index product when both
     factors are held as their index, and the row loop over the right
-    factor's words otherwise.
+    factor's words otherwise. ``mul`` reads the record and writes
+    nothing.
 
-    ``_record`` is None or ``(right, is_identity)``: the right factor of
-    the last product ``mul`` formed with this matrix on the left that
-    came out zero (False) or the identity (True). It holds nothing else,
-    and in particular no product. ``_permute_pair`` also carries a zero
-    record across a permutation: when A recorded B as a zero product,
-    (P A Q^-1)(Q B) = P (A B) is zero too, so the permuted A
-    records the permuted B, and no product of the two is formed.
+    ``_record`` is None or a matrix B such that this matrix times B is
+    known to be zero. It holds nothing else, and in particular no
+    product. Only two places write it: ``_annihilates``, the boundary
+    check D1 . D2 = 0 that TruncatedComplex runs, records D2 on D1 when
+    the product it formed came out zero; and ``_permute_pair`` carries
+    that record across a permutation (see there). So the repeat checks
+    of one pair of boundary matrices form one product between them.
 
     ``_pin`` is None or a _Pin: a claim that this matrix is a homotopy
     [L^-1 in one column band; 0] or a lift [L^-1 T; 0; I] for a unit
     lower triangular L. The block elimination pins its h and g, and
     nilpotent_series_inverse pins S = (I + N)^-1, the homotopy form with
-    no zero rows. Like the record, it names factors and holds no
+    no zero rows. Like the record, it names matrices and holds no
     product; mul checks it on this matrix's own bits before it relies on
     it (see _Pin).
 
@@ -309,13 +310,9 @@ class Gf2Matrix:
             raise ValueError(
                 f"shape mismatch for product: {self.rows}x{self.cols} times {other.rows}x{other.cols}"
             )
-        # 1. The record. Matrices are immutable, so the same operands always
-        # give the same product: one this factor already formed with an
-        # equal right factor and found to be zero or I is known at once.
-        record = self._record
-        if record is not None and (record[0] is other or record[0] == other):
-            if record[1]:
-                return Gf2Matrix.identity(self.rows)
+        # 1. The record. Matrices are immutable, so a right factor this
+        # one is recorded as annihilating gives the zero matrix again.
+        if self._record is other:
             return Gf2Matrix.zeros(self.rows, other.cols)
         # 2. A product by the identity is the other factor itself.
         if self.is_identity():
@@ -330,28 +327,27 @@ class Gf2Matrix:
         pin = self._pin
         words = None if pin is None else self._pinned_product(pin, other)
         if words is not None:
-            product = Gf2Matrix._raw(self.rows, other.cols, words)
-        elif self._index is not None and other._index is not None:
-            product = Gf2Matrix._from_index(self.rows, other.cols, _index_product(self, other))
-        else:
-            product = Gf2Matrix._raw(self.rows, other.cols, _mul_rows(self, other.bits))
-        # A record that closed a reference cycle would be freed only by the
-        # cycle collector. So a matrix's own square is not recorded, nor a
-        # product whose right factor already names this one in its record
-        # or pin.
-        if other is not self and not other._names(self):
-            if product.is_zero():
-                object.__setattr__(self, "_record", (other, False))
-            elif product.is_identity():
-                object.__setattr__(self, "_record", (other, True))
-        return product
+            return Gf2Matrix._raw(self.rows, other.cols, words)
+        if self._index is not None and other._index is not None:
+            return Gf2Matrix._from_index(self.rows, other.cols, _index_product(self, other))
+        return Gf2Matrix._raw(self.rows, other.cols, _mul_rows(self, other.bits))
 
-    def _names(self, other: Gf2Matrix) -> bool:
-        """Whether this matrix's record or pin holds other itself."""
-        record, pin = self._record, self._pin
-        return (record is not None and record[0] is other) or (
-            pin is not None and (pin.lower is other or pin.rhs is other)
-        )
+    def _annihilates(self, other: Gf2Matrix) -> bool:
+        """Whether self . other = 0, recording other on self when it is.
+
+        A zero factor answers with no product. Otherwise mul gives the
+        product, formed or read off the record, and a zero product records
+        other itself. A record that closed a reference cycle would be freed
+        only by the cycle collector, so none is written when other is self
+        or already records self.
+        """
+        if self.is_zero() or other.is_zero():
+            return True
+        if not self.mul(other).is_zero():
+            return False
+        if other is not self and other._record is not self:
+            object.__setattr__(self, "_record", other)
+        return True
 
     def _pinned_product(self, pin: _Pin, other: Gf2Matrix) -> tuple[int, ...] | None:
         """The row words of self·other through self's pin, or None for the row loop.
@@ -666,17 +662,16 @@ class Gf2Matrix:
 def _permute_pair(
     left: Gf2Matrix, right: Gf2Matrix, row_perm: Permutation, mid_perm: Permutation
 ) -> tuple[Gf2Matrix, Gf2Matrix]:
-    """left and right permuted with one permutation between them, the zero record carried.
+    """left and right permuted with one permutation between them, the record carried.
 
     Returns left.permute(row_perm, mid_perm) and right (left.cols rows)
     with its rows moved by mid_perm. right's columns stay put, so each of
     its rows moves whole, as a row word or, when right is held as its
     index, as an index row: both are immutable, and the permuted right
     shares them with right. The product of the two is the permuted
-    product of left and right, so when left's record names right itself
-    (``is``) as a zero product, the permuted left records the permuted
-    right as one (see Gf2Matrix). Any other record is not carried, and a
-    later product is formed.
+    product of left and right: when left records right itself (``is``),
+    (P A Q^-1)(Q B) = P (A B) is zero too, and the permuted left records
+    the permuted right. A record of any other matrix is not carried.
     """
     left_p = left.permute(row_perm, mid_perm)
     index = right._index
@@ -687,9 +682,8 @@ def _permute_pair(
         right_p = Gf2Matrix._raw(right.rows, right.cols, tuple(out))
     else:
         right_p = Gf2Matrix._from_index(right.rows, right.cols, out)
-    record = left._record
-    if record is not None and record[0] is right and not record[1]:
-        object.__setattr__(left_p, "_record", (right_p, False))
+    if left._record is right:
+        object.__setattr__(left_p, "_record", right_p)
     return left_p, right_p
 
 

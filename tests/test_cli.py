@@ -380,12 +380,34 @@ def test_verify_rejects_ambiguous_input(tmp_path, capsys):
     assert code == 2 and "error:" in err
 
 
-@pytest.mark.parametrize("count", ["-3", "x"])
-def test_verify_refuses_a_count_that_is_not_zero_or_more(capsys, count):
+@pytest.mark.parametrize("count", ["-3", "x", "0"])
+@pytest.mark.parametrize("image", [False, True], ids=["alone", "with-image"])
+def test_verify_refuses_a_count_that_is_not_one_or_more(tmp_path, capsys, count, image):
+    # --random 0 would verify nothing, so it is refused at parse time, with
+    # or without an image path beside it.
+    argv = ["verify", "--random", count]
+    if image:
+        argv.insert(1, write(tmp_path, "ring.pbm", RING_PBM))
     with pytest.raises(SystemExit) as exc:
-        cli.main(["verify", "--random", count])
+        cli.main(argv)
     assert exc.value.code == 2
-    assert f"argument --random: must be an integer, 0 or more, got '{count}'" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: morsereduce verify")
+    assert f"argument --random: must be an integer, 1 or more, got '{count}'" in captured.err
+
+
+def test_homology_refuses_fast_with_no_reduce(tmp_path, capsys):
+    # --no-reduce runs no reduction, so --fast beside it would be dropped.
+    path = write(tmp_path, "ring.pbm", RING_PBM)
+    for flags in (["--fast", "--no-reduce"], ["--no-reduce", "--fast"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["homology", path, *flags])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: morsereduce homology")
+        assert "not allowed with argument" in captured.err
 
 
 def test_verify_reports_failures_with_exit_one(tmp_path, capsys, monkeypatch):

@@ -432,17 +432,6 @@ def test_mul_and_transpose_match_the_textbook_on_wide_sparse_rows(operands):
             assert back.to_rows() == m.to_rows()
 
 
-def expected_record(a, b, product_rows):
-    """The record mul must leave on a fresh left factor a after a.mul(b)."""
-    if a.is_identity() or b.is_identity():
-        return None  # the other factor is handed back; nothing is formed
-    if oracle.is_zero(product_rows):
-        return (b, False)
-    if oracle.is_identity(product_rows, b.cols):
-        return (b, True)
-    return None
-
-
 @st.composite
 def narrow_products(draw):
     """(a, b): b at most 70 columns wide, a up to 2000 columns wide, sparse or dense.
@@ -479,23 +468,32 @@ def narrow_products(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(narrow_products())
-@example((Gf2Matrix.zeros(0, 7), Gf2Matrix.zeros(7, 3)))
-@example((Gf2Matrix.zeros(3, 0), Gf2Matrix.zeros(0, 70)))
-@example((Gf2Matrix(2, 3, [0b111, 0b011]), Gf2Matrix(3, 1, [1, 1, 0])))
-def test_narrow_products_match_the_textbook_and_keep_their_records(operands):
+@given(narrow_products(), st.booleans())
+@example((Gf2Matrix.zeros(0, 7), Gf2Matrix.zeros(7, 3)), False)
+@example((Gf2Matrix.zeros(3, 0), Gf2Matrix.zeros(0, 70)), False)
+@example((Gf2Matrix(2, 3, [0b111, 0b011]), Gf2Matrix(3, 1, [1, 1, 0])), False)
+@example((Gf2Matrix(2, 3, [0b011, 0b110]), Gf2Matrix(3, 1, [1, 1, 1])), True)
+def test_mul_writes_no_record_and_the_boundary_check_records_only_a_zero_product(
+    operands, indexed
+):
     # Narrow right factors, under dense and sparse left factors, take the
-    # one row loop: it must give the textbook product and the same record.
+    # one row loop, or the index product when both are held as their
+    # index: it must give the textbook product and leave both factors'
+    # records as they were. The boundary check then agrees with the
+    # textbook on whether the product is zero, and records the right
+    # factor itself only then.
     a, b = operands
+    if indexed:
+        a, b = with_textbook_index(a), with_textbook_index(b)
     want = oracle.mat_mul(a.to_rows(), b.to_rows(), b.cols)
     got = a.mul(b)
     assert (got.rows, got.cols) == (a.rows, b.cols)
     assert got.to_rows() == want
-    record = expected_record(a, b, want)
-    if record is None:
-        assert a._record is None
-    else:
-        assert a._record[0] is b and a._record[1] is record[1]
+    assert a._record is None and b._record is None
+    zero = oracle.is_zero(want)
+    assert a._annihilates(b) is zero
+    assert a._record is (b if zero and not a.is_zero() and not b.is_zero() else None)
+    assert b._record is None
 
 
 @settings(max_examples=200, deadline=None)
@@ -587,10 +585,10 @@ def boundary_pair():
 
 def test_permute_pair_carries_the_zero_record_that_names_the_right_factor(monkeypatch):
     d1, d2, rows, mid = boundary_pair()
-    assert d1.mul(d2).is_zero() and d1._record[0] is d2
+    assert d1._annihilates(d2) and d1._record is d2
     d1p, d2p = gf2._permute_pair(d1, d2, rows, mid)
     assert d1p == d1.permute(rows, mid) and d2p == d2.permute(mid, identity_perm(1))
-    assert d1p._record[0] is d2p and d1p._record[1] is False
+    assert d1p._record is d2p and d2p._record is None
     loops = []
     loop = gf2._mul_rows
     monkeypatch.setattr(gf2, "_mul_rows", lambda w, o: loops.append(None) or loop(w, o))
@@ -601,20 +599,21 @@ def test_permute_pair_carries_the_zero_record_that_names_the_right_factor(monkey
 def test_permute_pair_carries_no_other_record():
     cases = []
     d1, d2, *_ = boundary_pair()
-    cases.append((d1, d2))  # no product formed yet: no record
-    d1, d2, *_ = boundary_pair()
-    d1.mul(Gf2Matrix(d2.rows, d2.cols, d2.bits))  # names an equal copy, not d2 itself
+    d1.mul(d2)  # a product with no check: no record
     cases.append((d1, d2))
     d1, d2, *_ = boundary_pair()
-    d1.mul(d2)
-    d1.mul(Gf2Matrix.zeros(3, 2))  # overwritten by another zero product
+    d1._annihilates(Gf2Matrix(d2.rows, d2.cols, d2.bits))  # records an equal copy, not d2 itself
+    cases.append((d1, d2))
+    d1, d2, *_ = boundary_pair()
+    d1._annihilates(d2)
+    d1._annihilates(Gf2Matrix(3, 2, [0b11, 0b11, 0b11]))  # overwritten by another zero product
     cases.append((d1, d2))
     a = Gf2Matrix(3, 3, [1, 0b11, 0b101])
     inv = a.inverse()
-    a.mul(inv)  # names inv, but as the identity
+    assert not a._annihilates(inv)  # the identity: no record
     cases.append((a, inv))
     for left, right in cases:
-        assert left._record is None or left._record[0] is not right or left._record[1]
+        assert left._record is not right
         left_p, _ = gf2._permute_pair(
             left, right, identity_perm(left.rows), identity_perm(left.cols)
         )
@@ -1049,45 +1048,44 @@ def repeated_products(draw):
 @example((Gf2Matrix(1, 2, [0b11]), Gf2Matrix(2, 1, [1, 1]),
           [Gf2Matrix(2, 1, [1, 1]), Gf2Matrix(2, 1, [1, 0])]))
 def test_repeated_products_on_one_left_factor_match_the_textbook(operands):
-    # A product that came out zero or I is remembered on its left factor;
-    # a later product must reuse that only for an equal right factor.
+    # A boundary check that found a zero product records its right factor;
+    # a later product may reuse that only for the same right factor, not
+    # for an equal copy or a near miss.
     a, base, rights = operands
     rows = a.to_rows()
+    assert a._annihilates(base) is oracle.is_zero(oracle.mat_mul(rows, base.to_rows(), base.cols))
     for b in [base, *rights]:
         assert a.mul(b).to_rows() == oracle.mat_mul(rows, b.to_rows(), b.cols)
 
 
-def test_the_record_holds_no_product():
-    a = Gf2Matrix(3, 3, [1, 0b11, 0b101])
-    inv = a.inverse()
-    d1 = Gf2Matrix(2, 3, [0b011, 0b110])
-    d2 = Gf2Matrix(3, 1, [1, 1, 1])
-    for left, right in ((a, inv), (d1, d2)):
-        product = left.mul(right)
-        assert product.is_identity() or product.is_zero()
-        assert left._record[0] is right
-        seen = [left]
-        for obj in seen[:]:
-            seen.extend(gc.get_referents(obj))
-        for obj in seen[:]:
-            seen.extend(gc.get_referents(obj))
-        assert not any(obj is product for obj in seen)
-        # A repeat hands back a new zero or identity matrix.
-        again = left.mul(Gf2Matrix(right.rows, right.cols, right.bits))
-        assert again == product and again is not product
+def test_the_record_is_the_bare_right_factor(monkeypatch):
+    d1, d2, *_ = boundary_pair()
+    assert d1._annihilates(d2)
+    assert d1._record is d2
+    assert [obj for obj in gc.get_referents(d1) if isinstance(obj, Gf2Matrix)] == [d2]
+    loops = []
+    loop = gf2._mul_rows
+    monkeypatch.setattr(gf2, "_mul_rows", lambda w, o: loops.append(None) or loop(w, o))
+    # A repeat on d2 itself hands back a new zero matrix with no row loop;
+    # an equal copy of d2 is not matched, and its product is formed.
+    first, again = d1.mul(d2), d1.mul(d2)
+    assert first.is_zero() and again.is_zero() and first is not again and loops == []
+    assert d1.mul(Gf2Matrix(d2.rows, d2.cols, d2.bits)).is_zero() and len(loops) == 1
 
 
 def test_no_record_points_back_at_a_factor_that_names_it():
     # a b = 0 and b a = 0: a records b, so b records nothing, and the two
-    # make no reference cycle. The same holds for a right factor's pin.
+    # make no reference cycle. Nor does a matrix record its own square.
     a, b = Gf2Matrix(2, 2, [0b10, 0]), Gf2Matrix(2, 2, [0b10, 0])
-    assert a.mul(b).is_zero() and b.mul(a).is_zero()
-    assert a._record == (b, False) and b._record is None
+    assert a._annihilates(b) and b._annihilates(a)
+    assert a._record is b and b._record is None
+    assert b._annihilates(b) and b._record is None
+    # A product that comes out I records nothing, a pinned factor's included.
     one_plus = Gf2Matrix(3, 3, [1, 0b11, 0b111])
     s = one_plus.inv_unit_lower_triangular()
     object.__setattr__(s, "_pin", gf2._Pin(one_plus))
-    assert one_plus.mul(s).is_identity() and one_plus._record is None
-    assert s.mul(one_plus).is_identity() and s._record == (one_plus, True)
+    assert one_plus.mul(s).is_identity() and s.mul(one_plus).is_identity()
+    assert one_plus._record is None and s._record is None
 
 
 @st.composite

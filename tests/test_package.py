@@ -114,3 +114,42 @@ def test_every_private_definition_is_used():
         (file, name) for name, file in defined.items() if used.get(name, 0) <= inside[name]
     )
     assert unused == []
+
+
+def record_writers():
+    """(module, function) of each place in the package that sets a matrix's _record.
+
+    A write is a setattr call, ``object.__setattr__`` or an alias of it,
+    on the name "_record" with any value but the constant None (which the
+    slot initializer gives every new matrix), or an assignment to an
+    attribute named _record. A write in a nested function counts for it
+    and for each function around it.
+    """
+    sites = []
+    for path in sorted(pathlib.Path(morsereduce.__file__).parent.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.Call) and len(node.args) == 3:
+                    _, name, value = node.args
+                    write = (
+                        isinstance(name, ast.Constant)
+                        and name.value == "_record"
+                        and not (isinstance(value, ast.Constant) and value.value is None)
+                    )
+                elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    write = any(isinstance(t, ast.Attribute) and t.attr == "_record" for t in targets)
+                else:
+                    write = False
+                if write:
+                    sites.append((path.name, func.name))
+    return sites
+
+
+def test_only_the_boundary_check_and_permute_pair_write_a_record():
+    # mul remembers no product: a record is written where the check
+    # D1 . D2 = 0 found a zero product, and carried by _permute_pair to
+    # the permuted pair. Nothing else writes one.
+    assert sorted(record_writers()) == [("gf2.py", "_annihilates"), ("gf2.py", "_permute_pair")]

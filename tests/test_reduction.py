@@ -214,8 +214,8 @@ def test_fast_pipeline_forms_each_boundary_product_once_per_pair_of_factors(monk
     # factors: the original D1, D2 (construction, checks["boundary"], betti)
     # and the reordered copy (construction, hexagonal_reduce). Only the
     # first call forms the product: a repeat on the same factors is
-    # answered from the record it left, and reorder carries that zero
-    # record to the permuted pair.
+    # answered from the record the first check left, and reorder carries
+    # that record to the permuted pair.
     img = random_image(24, 24, 0.5, 11)
     log = spy_products(monkeypatch)
     res = reduce_pipeline(img, fast=True)
@@ -232,31 +232,36 @@ def boundary_products(log, t):
 
 def test_reorder_carries_the_boundary_record_to_the_permuted_pair(monkeypatch):
     t = image_complex(12, 10, 0.6, 7)
-    assert t.d1._record[0] is t.d2  # left by the constructor's check
+    assert t.d1._record is t.d2  # left by the constructor's check
     log = spy_products(monkeypatch)
     rc = reorder_of(t)
     monkeypatch.undo()
     d1r, d2r = rc.reordered.d1, rc.reordered.d2
-    assert d1r._record == (d2r, False) and d1r._record[0] is d2r
+    assert d1r._record is d2r and d2r._record is None
     assert boundary_products(log, t) == [False]
     assert all(d2r._index[rc.col_perm(i)] is row for i, row in enumerate(t.d2._index))
 
 
 def test_reorder_forms_the_boundary_product_when_the_record_names_another_factor(monkeypatch):
+    # Only the check writes a record, so the other matrix is put there by
+    # hand: an equal copy of D2, which is still not D2 itself.
     t = image_complex(12, 10, 0.6, 7)
-    assert t.d1.mul(Gf2Matrix.zeros(t.c1, 3)).is_zero()  # overwrites the record
+    copy = Gf2Matrix(t.d2.rows, t.d2.cols, t.d2.bits)
+    object.__setattr__(t.d1, "_record", copy)
     log = spy_products(monkeypatch)
     rc = reorder_of(t)
     monkeypatch.undo()
     assert boundary_products(log, t) == [True]
-    assert rc.reordered.d1._record[0] is rc.reordered.d2
+    assert rc.reordered.d1._record is rc.reordered.d2
+    assert t.d1._record is copy
 
 
 def test_certified_pivot_check_reuses_the_series_check(monkeypatch):
     # nilpotent_series_inverse checks S (I + N) = I with S = L^-1, pinned
     # to I + N, so that product is solved through I + N with no row loop.
     # hexagonal_general then checks u d21 = I for the same u = S and an
-    # equal d21 = L. The second product is answered from the record.
+    # equal d21 = L. S's pin, already checked, answers the second product
+    # by forward substitution too: mul records no identity.
     seen = []
     general = perturbation.hexagonal_general
 
